@@ -42,7 +42,6 @@ from .groups import (
     Word,
     abelianize,
     free_reduce,
-    linking_vector,
     parse_presentation,
     presentation,
     serialize_presentation,
@@ -59,7 +58,6 @@ from .ringkit import (
     exact_divide,
     grade_substitute,
     laurent_gcd,
-    minors,
     smith_normal_form_int,
     unit_normalize,
 )

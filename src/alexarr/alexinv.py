@@ -3,11 +3,29 @@ multivariable Alexander polynomial, and the zeroth higher-order degree by
 two independent routes.
 
 Route one takes the gcd of the next-to-maximal minors of the abelianized
-Fox matrix and reads off its degree spread.  Route two localizes: every
-variable is rewritten as u_i * t (u_1 = 1), entries become univariate
-polynomials over the rational-function field in the u's, and the module is
-diagonalized over that PID.  The two answers agree, including the infinite
-cases, and the tests enforce this on the whole corpus.
+Fox matrix A (m generator rows, q relator columns) and reads off its
+degree spread.  It enumerates only the minors with one row deleted.  Fox's
+fundamental formula gives sum_k A_kj * (x_k - 1) = 0 for every column j,
+where x_k is the image of generator k in Z[H].  So for each set S of
+m - 1 columns the minors with different deleted rows are tied together:
+
+    det A[k^, S] * (x_i - 1) = +-det A[i^, S] * (x_k - 1).
+
+Fix the last row i with x_i != 1 and let g = gcd_k (x_k - 1).  Then
+
+    Delta = gcd_S ( det A[i^, S] * g / (x_i - 1) ).
+
+Each quotient is exact: Z[H] is a UFD, and at every prime the minimum over
+k of the valuations of det A[k^, S] is that of det A[i^, S] * g / (x_i - 1).
+This divides the enumeration by m.  When every x_k = 1 (H trivial) the
+formula says nothing, and all minors of size m - 1 are enumerated.  The
+full enumeration survives only as the oracle in the tests.
+
+Route two localizes: every variable is rewritten as u_i * t (u_1 = 1),
+entries become univariate polynomials over the rational-function field in
+the u's, and the module is diagonalized over that PID.  The two answers
+agree, including the infinite cases, and the tests enforce this on the
+whole corpus.
 """
 
 from __future__ import annotations
@@ -20,6 +38,7 @@ from .ringkit import (
     UniPolyMatrix,
     degree_spread,
     diagonalize_over_pid,
+    exact_divide,
     grade_substitute,
     iter_minors,
     laurent_gcd,
@@ -76,31 +95,53 @@ def elementary_ideal_gens(A: AlexanderMatrix, i: int) -> list:
     k = m - i
     if k > q:
         return []
-    from .ringkit import minors
-
-    return minors(A.matrix, k)
+    return list(iter_minors(A.matrix, k))
 
 
 def alexander_polynomial(source) -> LaurentPolynomial:
     """Multivariable Alexander polynomial: gcd of the first elementary
-    ideal, unit-normalized.  Zero when that ideal is the zero ideal."""
+    ideal, unit-normalized.  Zero when that ideal is the zero ideal.
+
+    Only the minors with one row deleted are enumerated; the module
+    docstring states why their gcd, scaled by g / (x_i - 1), is exact.
+    """
     A = _coerce_matrix(source)
-    m, q = A.rows, A.cols
+    m, q, s = A.rows, A.cols, A.num_vars
     if 1 >= m:
-        return LaurentPolynomial.one(A.num_vars)
+        return LaurentPolynomial.one(s)
     if m - 1 > q:
-        return LaurentPolynomial.zero(A.num_vars)
-    return laurent_gcd(iter_minors(A.matrix, m - 1))
+        return LaurentPolynomial.zero(s)
+    one = LaurentPolynomial.one(s)
+    binomials = [LaurentPolynomial.monomial(1, x) - one for x in A.ab.quotient_map]
+    moving = [k for k, b in enumerate(binomials) if not b.is_zero()]
+    if not moving:
+        return laurent_gcd(iter_minors(A.matrix, m - 1))
+    i = moving[-1]
+    g = laurent_gcd(binomials)
+
+    def scaled(minor: LaurentPolynomial) -> LaurentPolynomial:
+        quotient = exact_divide(minor * g, binomials[i])
+        if quotient is None:
+            raise RuntimeError(
+                f"Fox fundamental formula fails: x_{i + 1} - 1 does not divide "
+                f"a minor with row {i + 1} deleted, times {g}"
+            )
+        return quotient
+
+    rest = A.matrix.submatrix([k for k in range(m) if k != i], range(q))
+    return laurent_gcd(scaled(minor) for minor in iter_minors(rest, m - 1))
+
+
+def _delta0_of(delta: LaurentPolynomial) -> Delta0:
+    if delta.is_zero():
+        return DELTA0_INFINITE
+    return Delta0.of(degree_spread(delta))
 
 
 def delta0_via_degree(source) -> Delta0:
     """Degree route: infinite iff the first elementary ideal is zero,
     otherwise the degree spread of the Alexander polynomial."""
-    A = _coerce_matrix(source)
-    delta = alexander_polynomial(A)
-    if delta.is_zero():
-        return DELTA0_INFINITE
-    return Delta0.of(degree_spread(delta))
+    return _delta0_of(alexander_polynomial(source))
 
 
 def _substituted_matrix(A: AlexanderMatrix, distinguished: int) -> UniPolyMatrix:
@@ -194,7 +235,7 @@ def compute_invariants(p: Presentation, routes: str = "both",
         )
 
     delta = alexander_polynomial(A)
-    d_degree = delta0_via_degree(A) if routes != "pid" else None
+    d_degree = _delta0_of(delta) if routes != "pid" else None
     d_pid = None
     if routes != "degree":
         try:

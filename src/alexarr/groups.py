@@ -304,8 +304,3 @@ def abelianize(p: Presentation) -> AbelianizationData:
     return AbelianizationData(
         s, tuple(tuple(row) for row in qmap), torsion, psi, meridian_ok
     )
-
-
-def linking_vector(ab: AbelianizationData) -> tuple:
-    """Per-generator value of the linking-number homomorphism."""
-    return ab.psi

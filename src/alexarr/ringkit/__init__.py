@@ -14,7 +14,6 @@ from .matrices import (
     IntMatrix,
     LaurentMatrix,
     iter_minors,
-    minors,
     smith_normal_form_int,
 )
 from .ratfunc import (
@@ -35,7 +34,6 @@ __all__ = [
     "IntMatrix",
     "LaurentMatrix",
     "iter_minors",
-    "minors",
     "smith_normal_form_int",
     "RationalFunction",
     "UniPoly",

@@ -261,23 +261,12 @@ def _det_laurent(entries: list, num_vars: int) -> LaurentPolynomial:
     return rec(tuple(range(n)), 0)
 
 
-def minors(M: LaurentMatrix, k: int) -> list:
-    """All k x k minor determinants of M.
+def iter_minors(M: LaurentMatrix, k: int):
+    """Lazily yield all k x k minor determinants of M.
 
     Deterministic order: row subsets lexicographic, then column subsets
     lexicographic.  Values are plain subdeterminants (no cofactor signs).
     """
-    if not 0 < k <= min(M.rows, M.cols):
-        raise ValueError(f"minor size {k} out of range for {M.rows}x{M.cols} matrix")
-    out = []
-    for ri in combinations(range(M.rows), k):
-        for ci in combinations(range(M.cols), k):
-            out.append(M.submatrix(ri, ci).determinant())
-    return out
-
-
-def iter_minors(M: LaurentMatrix, k: int):
-    """Lazily yield k x k minors in the same order as :func:`minors`."""
     if not 0 < k <= min(M.rows, M.cols):
         raise ValueError(f"minor size {k} out of range for {M.rows}x{M.cols} matrix")
     for ri in combinations(range(M.rows), k):

@@ -1,7 +1,9 @@
 """Elementary ideals, Alexander polynomials, and the two degree routes."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from alexarr import alexinv
 from alexarr.alexinv import (
     DELTA0_INFINITE,
     Delta0,
@@ -15,8 +17,8 @@ from alexarr.alexinv import (
 )
 from alexarr.arrangements import family_arrangement, family_presentation, wiring_presentation
 from alexarr.foxcalc import alexander_matrix
-from alexarr.groups import parse_presentation
-from alexarr.ringkit import LaurentPolynomial, degree_spread, unit_normalize
+from alexarr.groups import Word, parse_presentation, presentation
+from alexarr.ringkit import LaurentPolynomial, degree_spread, laurent_gcd, unit_normalize
 from alexarr.selftest import (
     HOPF_DSL,
     TREFOIL_DSL,
@@ -29,6 +31,29 @@ from alexarr.selftest import (
 
 def hopf_matrix():
     return alexander_matrix(parse_presentation(HOPF_DSL))
+
+
+def full_enumeration_polynomial(A):
+    """Oracle for the degree route: the gcd of every minor of size m - 1,
+    with no row restriction."""
+    gens = elementary_ideal_gens(A, 1)
+    if not gens:
+        return LaurentPolynomial.zero(A.num_vars)
+    return unit_normalize(laurent_gcd(gens))
+
+
+@st.composite
+def small_presentations(draw):
+    """1-4 generators, 0-4 relators.  Commutators keep several variables
+    alive (s >= 2), powers plant torsion, and random words cover s = 0, 1
+    and the zero ideal."""
+    m = draw(st.integers(1, 4))
+    letter = st.sampled_from([x for i in range(1, m + 1) for x in (i, -i)])
+    word = st.lists(letter, max_size=8)
+    commutator = st.tuples(letter, letter).map(lambda ab: [ab[0], ab[1], -ab[0], -ab[1]])
+    power = st.tuples(letter, st.integers(2, 3)).map(lambda xn: [xn[0]] * xn[1])
+    relators = draw(st.lists(st.one_of(word, commutator, power), max_size=4))
+    return presentation([f"x{i}" for i in range(m)], [Word(r) for r in relators])
 
 
 # ----------------------------------------------------------------------
@@ -106,6 +131,36 @@ def test_single_generator_gives_unit_polynomial():
     assert delta == LaurentPolynomial.one(1)
 
 
+def test_row_restriction_matches_full_enumeration_on_corpus():
+    from alexarr.selftest import corpus_cases
+
+    for case in corpus_cases():
+        A = alexander_matrix(case.build())
+        assert alexander_polynomial(A) == full_enumeration_polynomial(A), case.name
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_presentations())
+def test_row_restriction_matches_full_enumeration_on_random_presentations(p):
+    A = alexander_matrix(p)
+    assert alexander_polynomial(A) == full_enumeration_polynomial(A)
+
+
+def test_row_restriction_matches_full_enumeration_on_named_cases():
+    # E_1 = 0 with no minors (free group), E_1 = 0 with every minor
+    # vanishing (proportional columns), and a knot (s = 1, g = t - 1)
+    proportional = "gens: a b c\nrel: a b a^-1 b^-1\nrel: a b a^-1 b^-1 a b a^-1 b^-1\n"
+    for p, vanishes in (
+        (family_presentation("parallel", 3), True),
+        (parse_presentation(proportional), True),
+        (parse_presentation(TREFOIL_DSL), False),
+    ):
+        A = alexander_matrix(p)
+        delta = alexander_polynomial(A)
+        assert delta == full_enumeration_polynomial(A), p
+        assert delta.is_zero() == vanishes, p
+
+
 # ----------------------------------------------------------------------
 # degree routes
 
@@ -151,10 +206,26 @@ def test_route_equivalence_across_corpus():
 
     checked = 0
     for case in corpus_cases():
-        report = compute_invariants(case.build())
+        p = case.build()
+        report = compute_invariants(p)
         assert report.route_agreement, case.name
+        assert report.delta0_degree_route == delta0_via_degree(p), case.name
         checked += 1
     assert checked >= 12
+
+
+@pytest.mark.parametrize("routes", ["degree", "pid", "both"])
+def test_compute_invariants_computes_polynomial_once(monkeypatch, routes):
+    calls = []
+    original = alexinv.alexander_polynomial
+
+    def counted(source):
+        calls.append(source)
+        return original(source)
+
+    monkeypatch.setattr(alexinv, "alexander_polynomial", counted)
+    compute_invariants(family_presentation("near-pencil", 4), routes=routes)
+    assert len(calls) == 1
 
 
 def test_pid_route_distinguished_variable_invariance():

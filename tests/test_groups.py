@@ -8,7 +8,6 @@ from alexarr.groups import (
     Word,
     abelianize,
     free_reduce,
-    linking_vector,
     parse_presentation,
     presentation,
     serialize_presentation,
@@ -104,7 +103,7 @@ def test_abelianize_free_group_is_identity():
     ab = abelianize(p)
     assert ab.s == 3
     assert ab.quotient_map == ((1, 0, 0), (0, 1, 0), (0, 0, 1))
-    assert linking_vector(ab) == (1, 1, 1)
+    assert ab.psi == (1, 1, 1)
 
 
 def test_abelianize_trefoil_style_collapses_to_one_variable():
