@@ -184,25 +184,15 @@ class ClassLabel:
 def _nodal_transversal_lines(data: IntersectionData) -> list:
     """Lines meeting every other line, in double points only, such that the
     rest of the arrangement is still essential."""
-    out = []
-    for i in range(data.m):
-        if data.class_size(i) != 1:
-            continue
-        if any(d != 2 for d in data.per_line_counts[i]):
-            continue
-        rest = [j for j in range(data.m) if j != i]
-        if len(rest) < 2:
-            continue
-        rest_dirs = {tuple(data.class_of(j)) for j in rest}
-        # essential remainder: the other lines are not all mutually parallel
-        directions = set()
-        for j in rest:
-            for cls in data.parallel_classes:
-                if j in cls:
-                    directions.add(cls)
-        if len(directions) >= 2:
-            out.append(i)
-    return out
+    # a candidate line is alone in its class, so the rest of the arrangement
+    # runs in the other len(parallel_classes) - 1 directions, and it is
+    # essential when those are at least two
+    if len(data.parallel_classes) - 1 < 2:
+        return []
+    return [
+        i for i in range(data.m)
+        if data.class_size(i) == 1 and all(d == 2 for d in data.per_line_counts[i])
+    ]
 
 
 def classify_arrangement(data: IntersectionData) -> ClassLabel:

@@ -21,8 +21,10 @@ from pathlib import Path
 from .alexinv import InvariantReport, compute_invariants
 from .arrangements import (
     ArrangementError,
+    ClassLabel,
     ClosedForm,
     FAMILIES,
+    IntersectionData,
     classify_arrangement,
     combinatorial_bounds,
     curve_at_infinity_bound,
@@ -65,6 +67,26 @@ def _closed_form_json(cf: ClosedForm | None) -> object:
         "value": "infinite" if cf.value is None else cf.value,
         "all_n": cf.all_n,
         "statement": cf.statement,
+    }
+
+
+def _bounds_json(data: IntersectionData, label: ClassLabel) -> object:
+    """Global and per-line tube bounds; None for a non-essential arrangement."""
+    if not label.essential:
+        return None
+    bounds = combinatorial_bounds(data, label)
+    return {
+        "global_bound": bounds.global_bound,
+        "best": bounds.best,
+        "per_line": [
+            {
+                "line": lb.line_index + 1,
+                "parallel_class_size": lb.parallel_class_size,
+                "point_multiplicities": list(lb.point_multiplicities),
+                "bound": lb.bound,
+            }
+            for lb in bounds.line_bounds
+        ],
     }
 
 
@@ -124,23 +146,7 @@ def cmd_analyze(args) -> int:
         raise CliFailure(EXIT_GEOMETRY, str(exc)) from None
     label = classify_arrangement(data)
     verdict = vanishing_and_infinite_verdicts(label, data)
-
-    bounds_doc = None
-    if label.essential:
-        bounds = combinatorial_bounds(data, label)
-        bounds_doc = {
-            "global_bound": bounds.global_bound,
-            "best": bounds.best,
-            "per_line": [
-                {
-                    "line": lb.line_index + 1,
-                    "parallel_class_size": lb.parallel_class_size,
-                    "point_multiplicities": list(lb.point_multiplicities),
-                    "bound": lb.bound,
-                }
-                for lb in bounds.line_bounds
-            ],
-        }
+    bounds_doc = _bounds_json(data, label)
 
     if args.presentation == "family":
         family_by_label = {
@@ -284,24 +290,8 @@ def cmd_bounds(args) -> int:
         "input": {"kind": "arrangement-file", "path": args.path, "m": data.m},
         "classification": {"label": label.label, "essential": label.essential},
         "closed_form": _closed_form_json(vanishing_and_infinite_verdicts(label, data)),
+        "bounds": _bounds_json(data, label),
     }
-    if label.essential:
-        bounds = combinatorial_bounds(data, label)
-        doc["bounds"] = {
-            "global_bound": bounds.global_bound,
-            "best": bounds.best,
-            "per_line": [
-                {
-                    "line": lb.line_index + 1,
-                    "parallel_class_size": lb.parallel_class_size,
-                    "point_multiplicities": list(lb.point_multiplicities),
-                    "bound": lb.bound,
-                }
-                for lb in bounds.line_bounds
-            ],
-        }
-    else:
-        doc["bounds"] = None
     _emit(doc, args.out)
     return EXIT_OK
 
@@ -362,8 +352,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p, with_route=True):
         p.add_argument("--out", metavar="PATH", help="write the JSON report here")
-        p.add_argument("--json", action="store_true",
-                       help="emit JSON (the default; kept for scripting clarity)")
         if with_route:
             p.add_argument("--route", choices=("degree", "pid", "both"),
                            default="both", help="which degree computation(s) to run")

@@ -1,4 +1,5 @@
-"""Exact matrices: integer Smith normal form and Laurent-polynomial minors."""
+"""Exact matrices: one Euclidean elimination kernel, the integer Smith
+normal form built on it, and Laurent-polynomial minors."""
 
 from __future__ import annotations
 
@@ -92,40 +93,30 @@ def _det_int(entries: list) -> int:
     return sign * a[n - 1][n - 1]
 
 
-def smith_normal_form_int(M: IntMatrix) -> tuple:
-    """Smith normal form over Z.
+def _eliminate(a: list, rows: int, cols: int, size, divide) -> int:
+    """Diagonalize the leading rows x cols block of a in place; return its rank.
 
-    Returns (D, U, V) with U*M*V == D, U and V unimodular, D diagonal with
-    nonnegative entries d_1 | d_2 | ... .
+    Euclidean elimination over any ring with a Euclidean function `size` and
+    a division with remainder `divide(x, y) -> (q, r)`; entries test as zero
+    by truth value.  Row operations act on the full width of a and column
+    operations on its full height, so identity blocks bordering the leading
+    block record the transforms.  Afterwards the block is diagonal with
+    d_1 | d_2 | ... | d_rank up to units, followed by zeros.
     """
-    rows, cols = M.rows, M.cols
-    a = [row[:] for row in M.entries]
-    u = IntMatrix.identity(rows).entries
-    v = IntMatrix.identity(cols).entries
+    width = len(a[0]) if a else 0
 
     def row_op(i, j, q):
         # row_i -= q * row_j
-        for k in range(cols):
-            a[i][k] -= q * a[j][k]
-        for k in range(rows):
-            u[i][k] -= q * u[j][k]
+        ai, aj = a[i], a[j]
+        for k in range(width):
+            if aj[k]:
+                ai[k] -= q * aj[k]
 
     def col_op(i, j, q):
         # col_i -= q * col_j
-        for k in range(rows):
-            a[k][i] -= q * a[k][j]
-        for k in range(cols):
-            v[k][i] -= q * v[k][j]
-
-    def swap_rows(i, j):
-        a[i], a[j] = a[j], a[i]
-        u[i], u[j] = u[j], u[i]
-
-    def swap_cols(i, j):
-        for k in range(rows):
-            a[k][i], a[k][j] = a[k][j], a[k][i]
-        for k in range(cols):
-            v[k][i], v[k][j] = v[k][j], v[k][i]
+        for row in a:
+            if row[j]:
+                row[i] -= q * row[j]
 
     def move_min_pivot(t) -> bool:
         best = None
@@ -133,13 +124,18 @@ def smith_normal_form_int(M: IntMatrix) -> tuple:
         for i in range(t, rows):
             for j in range(t, cols):
                 x = a[i][j]
-                if x and (best is None or abs(x) < best):
-                    best = abs(x)
-                    pivot = (i, j)
+                if x:
+                    s = size(x)
+                    if best is None or s < best:
+                        best = s
+                        pivot = (i, j)
         if pivot is None:
             return False
-        swap_rows(t, pivot[0])
-        swap_cols(t, pivot[1])
+        i, j = pivot
+        a[t], a[i] = a[i], a[t]
+        if j != t:
+            for row in a:
+                row[t], row[j] = row[j], row[t]
         return True
 
     t = 0
@@ -153,7 +149,7 @@ def smith_normal_form_int(M: IntMatrix) -> tuple:
             clean = True
             for i in range(t + 1, rows):
                 if a[i][t]:
-                    row_op(i, t, a[i][t] // a[t][t])
+                    row_op(i, t, divide(a[i][t], a[t][t])[0])
                     if a[i][t]:
                         clean = False
             if not clean:
@@ -161,7 +157,7 @@ def smith_normal_form_int(M: IntMatrix) -> tuple:
                 continue
             for j in range(t + 1, cols):
                 if a[t][j]:
-                    col_op(j, t, a[t][j] // a[t][t])
+                    col_op(j, t, divide(a[t][j], a[t][t])[0])
                     if a[t][j]:
                         clean = False
             if not clean:
@@ -169,27 +165,40 @@ def smith_normal_form_int(M: IntMatrix) -> tuple:
                 continue
             # divisibility chain: the pivot must divide the whole trailing
             # submatrix; folding an offending row in plants a remainder
-            offender = None
-            for i in range(t + 1, rows):
-                for j in range(t + 1, cols):
-                    if a[i][j] % a[t][t]:
-                        offender = i
-                        break
-                if offender is not None:
-                    break
+            offender = next(
+                (i for i in range(t + 1, rows) for j in range(t + 1, cols)
+                 if a[i][j] and divide(a[i][j], a[t][t])[1]),
+                None,
+            )
             if offender is None:
                 break
-            row_op(t, offender, -1)
+            pivot_row, off_row = a[t], a[offender]
+            for k in range(width):
+                if off_row[k]:
+                    pivot_row[k] += off_row[k]
         t += 1
+    return t
 
-    for i in range(min(rows, cols)):
+
+def smith_normal_form_int(M: IntMatrix) -> tuple:
+    """Smith normal form over Z.
+
+    Returns (D, U, V) with U*M*V == D, U and V unimodular, D diagonal with
+    nonnegative entries d_1 | d_2 | ... .
+    """
+    rows, cols = M.rows, M.cols
+    # [[M, I_rows], [I_cols, 0]]: row operations carry U, column operations V
+    a = [row + e for row, e in zip(M.entries, IntMatrix.identity(rows).entries)]
+    a += [e + [0] * rows for e in IntMatrix.identity(cols).entries]
+    rank = _eliminate(a, rows, cols, abs, divmod)
+    for i in range(rank):
         if a[i][i] < 0:
-            for k in range(cols):
-                a[i][k] = -a[i][k]
-            for k in range(rows):
-                u[i][k] = -u[i][k]
-
-    return IntMatrix(a, rows, cols), IntMatrix(u, rows, rows), IntMatrix(v, cols, cols)
+            a[i] = [-x for x in a[i]]
+    return (
+        IntMatrix([row[:cols] for row in a[:rows]], rows, cols),
+        IntMatrix([row[cols:] for row in a[:rows]], rows, rows),
+        IntMatrix([row[:cols] for row in a[rows:]], cols, cols),
+    )
 
 
 class LaurentMatrix:
@@ -262,13 +271,16 @@ def _det_laurent(entries: list, num_vars: int) -> LaurentPolynomial:
 
 
 def iter_minors(M: LaurentMatrix, k: int):
-    """Lazily yield all k x k minor determinants of M.
+    """A lazy iterator over all k x k minor determinants of M.
 
     Deterministic order: row subsets lexicographic, then column subsets
     lexicographic.  Values are plain subdeterminants (no cofactor signs).
+    An out-of-range k raises ValueError at the call, not on the first next.
     """
     if not 0 < k <= min(M.rows, M.cols):
         raise ValueError(f"minor size {k} out of range for {M.rows}x{M.cols} matrix")
-    for ri in combinations(range(M.rows), k):
-        for ci in combinations(range(M.cols), k):
-            yield M.submatrix(ri, ci).determinant()
+    return (
+        M.submatrix(ri, ci).determinant()
+        for ri in combinations(range(M.rows), k)
+        for ci in combinations(range(M.cols), k)
+    )

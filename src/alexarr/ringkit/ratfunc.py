@@ -15,6 +15,7 @@ from __future__ import annotations
 from typing import Sequence
 
 from .laurent import LaurentPolynomial, exact_divide, _poly_gcd
+from .matrices import _eliminate
 
 
 class RationalFunction:
@@ -200,6 +201,9 @@ class UniPoly:
 
     def is_zero(self) -> bool:
         return not self.coeffs
+
+    def __bool__(self) -> bool:
+        return bool(self.coeffs)
 
     def is_laurent_unit(self) -> bool:
         """True iff of the form c * t^k with c a nonzero field element."""
@@ -390,74 +394,7 @@ def diagonalize_over_pid(M: UniPolyMatrix) -> tuple:
 
     Returns (invariant_factors, free_rank).
     """
-    nv = M.num_vars
     a = [row[:] for row in M.entries]
-    rows, cols = M.rows, M.cols
-    diag = []
-    t = 0
-    while True:
-        pivot = None
-        best = None
-        for i in range(t, rows):
-            for j in range(t, cols):
-                x = a[i][j]
-                if not x.is_zero() and (best is None or x.spread() < best):
-                    best = x.spread()
-                    pivot = (i, j)
-        if pivot is None:
-            break
-        a[t], a[pivot[0]] = a[pivot[0]], a[t]
-        pj = pivot[1]
-        if pj != t:
-            for r in a:
-                r[t], r[pj] = r[pj], r[t]
-
-        while True:
-            dirty = False
-            for i in range(t + 1, rows):
-                if not a[i][t].is_zero():
-                    q, r = a[i][t].divmod_by(a[t][t])
-                    for j in range(t, cols):
-                        a[i][j] = a[i][j] - q * a[t][j]
-                    if not r.is_zero():
-                        a[t], a[i] = a[i], a[t]
-                        dirty = True
-            for j in range(t + 1, cols):
-                if not a[t][j].is_zero():
-                    q, r = a[t][j].divmod_by(a[t][t])
-                    for i in range(t, rows):
-                        a[i][j] = a[i][j] - a[i][t] * q
-                    if not r.is_zero():
-                        for row in a:
-                            row[t], row[j] = row[j], row[t]
-                        dirty = True
-            if dirty:
-                continue
-            if any(not a[i][t].is_zero() for i in range(t + 1, rows)):
-                continue
-            if any(not a[t][j].is_zero() for j in range(t + 1, cols)):
-                continue
-            # divisibility chain: pivot must divide the trailing submatrix
-            offender = None
-            for i in range(t + 1, rows):
-                for j in range(t + 1, cols):
-                    if a[i][j].is_zero():
-                        continue
-                    _, r = a[i][j].divmod_by(a[t][t])
-                    if not r.is_zero():
-                        offender = i
-                        break
-                if offender is not None:
-                    break
-            if offender is None:
-                break
-            for j in range(t, cols):
-                a[t][j] = a[t][j] + a[offender][j]
-        diag.append(a[t][t])
-        t += 1
-        if t >= rows or t >= cols:
-            break
-
-    factors = [d.monic() for d in diag if d.spread() > 0]
-    free_rank = rows - len(diag)
-    return factors, free_rank
+    rank = _eliminate(a, M.rows, M.cols, UniPoly.spread, UniPoly.divmod_by)
+    factors = [a[t][t].monic() for t in range(rank) if a[t][t].spread() > 0]
+    return factors, M.rows - rank

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from alexarr.ringkit import (
+    LaurentMatrix,
     LaurentPolynomial,
     RationalFunction,
     UniPoly,
@@ -13,6 +14,7 @@ from alexarr.ringkit import (
     degree_spread,
     diagonalize_over_pid,
     grade_substitute,
+    iter_minors,
     laurent_gcd,
 )
 
@@ -187,6 +189,17 @@ def test_diagonalize_coprime_column_is_free():
     assert free == 1
 
 
+def test_diagonalize_folds_coprime_pivots_into_one_factor():
+    # diag(t - u, t + u): the pivots are coprime, so the invariant factors
+    # are 1 and (t - u)(t + u), not the two pivots
+    u = RationalFunction(LaurentPolynomial.variable(0, 1))
+    t, z = tpow(1, 1), UniPoly.zero(1)
+    a, b = t - UniPoly.one(1) * u, t + UniPoly.one(1) * u
+    factors, free = diagonalize_over_pid(UniPolyMatrix([[a, z], [z, b]], 1))
+    assert free == 0
+    assert factors == [(a * b).monic()]
+
+
 def test_diagonalize_empty_matrix_is_free_module():
     factors, free = diagonalize_over_pid(UniPolyMatrix([[], []], 0, rows=2, cols=0))
     assert factors == []
@@ -221,8 +234,6 @@ def test_diagonalize_rank_accounting_and_minor_gcd():
         assert 0 <= rank <= min(rows, cols)
         assert len(factors) <= rank
         if rank:
-            from alexarr.ringkit import LaurentMatrix, iter_minors
-
             lm = LaurentMatrix(lint, 1, rows, cols)
             g = laurent_gcd(iter_minors(lm, rank))
             prod = UniPoly.one(0)
@@ -230,3 +241,36 @@ def test_diagonalize_rank_accounting_and_minor_gcd():
                 prod = prod * f
             expect = grade_substitute(g, [1]).monic()
             assert prod.monic() == expect
+
+
+_laurent_tu = st.dictionaries(
+    st.tuples(st.integers(0, 2), st.integers(0, 2)), st.integers(-2, 2), max_size=3
+).map(lambda terms: LaurentPolynomial(2, terms))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_diagonalize_over_rational_functions_matches_minor_gcd(data):
+    # matrices over Z[t1, t2] pushed into Q(u)[t] by t1 -> t, t2 -> u t; the
+    # push is a localization of a UFD, so it keeps minors and their gcds
+    rows = data.draw(st.integers(1, 4))
+    cols = data.draw(st.integers(1, 4))
+    lint = [[data.draw(_laurent_tu) for _ in range(cols)] for _ in range(rows)]
+    m = UniPolyMatrix(
+        [[grade_substitute(p, [1, 1]) for p in row] for row in lint], 1, rows, cols
+    )
+    factors, free = diagonalize_over_pid(m)
+    rank = rows - free
+    lm = LaurentMatrix(lint, 2, rows, cols)
+    if rank < min(rows, cols):
+        assert all(minor.is_zero() for minor in iter_minors(lm, rank + 1))
+    if rank:
+        g = laurent_gcd(iter_minors(lm, rank))
+        assert not g.is_zero()
+        prod = UniPoly.one(1)
+        for f in factors:
+            assert f.spread() > 0 and f.low == 0 and f.leading().is_one()
+            prod = prod * f
+        assert prod == grade_substitute(g, [1, 1]).monic()
+        for f, nxt in zip(factors, factors[1:]):
+            assert nxt.divmod_by(f)[1].is_zero()
