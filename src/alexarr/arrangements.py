@@ -125,20 +125,25 @@ def parse_arrangement(text: str) -> list:
     return lines
 
 
-def intersect_arrangement(lines: Sequence[Line]) -> IntersectionData:
-    """Group all pairwise intersections into multiple points, exactly."""
+def _lines_through_points(lines: Sequence[Line]) -> dict:
+    """Map each multiple point (x, y) to the set of indices of its lines."""
     if not lines:
         raise ArrangementError("empty arrangement")
     if len(set(lines)) != len(lines):
         raise ArrangementError("duplicate lines in arrangement")
-    m = len(lines)
     by_point: dict = {}
-    for i in range(m):
-        for j in range(i + 1, m):
+    for i in range(len(lines)):
+        for j in range(i + 1, len(lines)):
             pt = intersection_point(lines[i], lines[j])
-            if pt is None:
-                continue
-            by_point.setdefault(pt, set()).update((i, j))
+            if pt is not None:
+                by_point.setdefault(pt, set()).update((i, j))
+    return by_point
+
+
+def intersect_arrangement(lines: Sequence[Line]) -> IntersectionData:
+    """Group all pairwise intersections into multiple points, exactly."""
+    by_point = _lines_through_points(lines)
+    m = len(lines)
     points = tuple(
         (pt, tuple(sorted(idx))) for pt, idx in sorted(by_point.items())
     )
@@ -486,29 +491,27 @@ class SweepProvenance:
     wire_lines: tuple  # wire position (bottom to top) -> input line index
 
 
-def _choose_shear(lines: Sequence[Line]) -> Fraction:
-    """Smallest nonnegative integer shear making the picture sweep-generic."""
-    forbidden = set()
-    for ln in lines:
-        if ln.a != 0:
-            forbidden.add(ln.b / ln.a)  # would become vertical
-    pts = {}
-    for i in range(len(lines)):
-        for j in range(i + 1, len(lines)):
-            pt = intersection_point(lines[i], lines[j])
-            if pt is not None:
-                pts[pt] = True
-    pts = list(pts)
-    for i in range(len(pts)):
-        for j in range(i + 1, len(pts)):
-            (x1, y1), (x2, y2) = pts[i], pts[j]
-            if y1 != y2:
-                # equal sheared x-coordinates iff s = -(x1-x2)/(y1-y2)
-                forbidden.add(-(x1 - x2) / (y1 - y2))
-    s = 0
-    while Fraction(s) in forbidden:
-        s += 1
-    return Fraction(s)
+def _choose_shear(lines: Sequence[Line], points) -> Fraction:
+    """Smallest nonnegative integer shear making the picture sweep-generic.
+
+    Under (x, y) -> (x + s*y, y) no line may become vertical and the multiple
+    ``points`` (a collection of (x, y)) must get pairwise distinct abscissas.
+    Each line and each pair of points rules out at most one s, so the range
+    searched holds an answer; a candidate costs O(len(lines) + len(points)).
+    """
+    n = len(points)
+    for s in range(len(lines) + n * (n - 1) // 2 + 1):
+        if any(ln.b == s * ln.a for ln in lines):
+            continue
+        seen = set()
+        for x, y in points:
+            u = x + s * y
+            if u in seen:
+                break
+            seen.add(u)
+        else:
+            return Fraction(s)
+    raise ArrangementError("shear search ran out of candidates")
 
 
 def wiring_presentation(lines: Sequence[Line]) -> tuple:
@@ -518,23 +521,14 @@ def wiring_presentation(lines: Sequence[Line]) -> tuple:
     the line at initial wire position i (bottom to top at the base fiber);
     the provenance records which input line that is.
     """
-    if len(set(lines)) != len(lines):
-        raise ArrangementError("duplicate lines in arrangement")
-    if not lines:
-        raise ArrangementError("empty arrangement")
-    s = _choose_shear(lines)
+    by_point = _lines_through_points(lines)
+    s = _choose_shear(lines, by_point)
     sheared = [ln.shear(s) for ln in lines]
     m = len(sheared)
 
-    events: dict = {}
-    for i in range(m):
-        for j in range(i + 1, m):
-            pt = intersection_point(sheared[i], sheared[j])
-            if pt is not None:
-                events.setdefault(pt, set()).update((i, j))
+    # the shear maps the meeting point of two lines to that of their images
     event_list = sorted(
-        ((pt, tuple(sorted(idx))) for pt, idx in events.items()),
-        key=lambda e: e[0][0],
+        ((x + s * y, y), tuple(sorted(idx))) for (x, y), idx in by_point.items()
     )
     xs = [pt[0] for pt, _ in event_list]
     if len(set(xs)) != len(xs):

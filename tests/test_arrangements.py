@@ -1,22 +1,30 @@
 """Exact arrangement geometry, classification, bounds, presentations."""
 
+import hashlib
+import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from alexarr.arrangements import (
     ArrangementError,
     Line,
+    _choose_shear,
+    _lines_through_points,
     classify_arrangement,
     combinatorial_bounds,
     curve_at_infinity_bound,
     family_arrangement,
     family_presentation,
     intersect_arrangement,
+    intersection_point,
     parse_arrangement,
     vanishing_and_infinite_verdicts,
     wiring_presentation,
 )
+from alexarr.cli import main
 from alexarr.groups import Word
 
 
@@ -324,3 +332,162 @@ def test_wiring_handles_vertical_lines_via_shear():
     pres, prov = wiring_presentation(lines_of((1, 0, 0), (1, 0, 1), (0, 1, 0)))
     assert prov.shear > 0
     assert pres.num_gens == 3
+
+
+# ----------------------------------------------------------------------
+# shear search
+
+
+def forbidden_set_shear(lines):
+    """Oracle: collect every shear that makes a line vertical or two points
+    share an abscissa, then return the smallest nonnegative integer outside."""
+    forbidden = set()
+    for ln in lines:
+        if ln.a != 0:
+            forbidden.add(ln.b / ln.a)  # would become vertical
+    pts = {}
+    for i in range(len(lines)):
+        for j in range(i + 1, len(lines)):
+            pt = intersection_point(lines[i], lines[j])
+            if pt is not None:
+                pts[pt] = True
+    pts = list(pts)
+    for i in range(len(pts)):
+        for j in range(i + 1, len(pts)):
+            (x1, y1), (x2, y2) = pts[i], pts[j]
+            if y1 != y2:
+                # equal sheared x-coordinates iff s = -(x1-x2)/(y1-y2)
+                forbidden.add(-(x1 - x2) / (y1 - y2))
+    s = 0
+    while Fraction(s) in forbidden:
+        s += 1
+    return Fraction(s)
+
+
+coef = st.integers(-3, 3)
+
+
+@st.composite
+def small_arrangements(draw):
+    """2-9 distinct lines with coefficients in -3..3.  Each line is random,
+    vertical, parallel to an earlier line, or through the meeting point of
+    two earlier lines (then c is rational and may leave -3..3)."""
+    lines = []
+    for _ in range(draw(st.integers(2, 9))):
+        kind = draw(st.sampled_from(["any", "vertical", "parallel", "concurrent"]))
+        a, b, c = draw(coef), draw(coef), draw(coef)
+        if kind == "vertical":
+            a, b = 1, 0
+        elif kind == "parallel" and lines:
+            ln = draw(st.sampled_from(lines))
+            a, b = ln.a, ln.b
+        elif kind == "concurrent" and len(lines) >= 2:
+            i, j = draw(st.lists(st.sampled_from(range(len(lines))),
+                                 min_size=2, max_size=2, unique=True))
+            pt = intersection_point(lines[i], lines[j])
+            if pt is not None:
+                c = a * pt[0] + b * pt[1]
+        if (a, b) != (0, 0):
+            lines.append(Line.of(a, b, c))
+    lines = list(dict.fromkeys(lines))
+    assume(len(lines) >= 2)
+    return lines
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_arrangements())
+def test_shear_search_matches_forbidden_set_oracle(lines):
+    by_point = _lines_through_points(lines)
+    s = _choose_shear(lines, by_point)
+    assert s == forbidden_set_shear(lines)
+    # shearing the points gives the meeting points of the sheared lines
+    sheared_points = {(x + s * y, y): idx for (x, y), idx in by_point.items()}
+    assert sheared_points == _lines_through_points([ln.shear(s) for ln in lines])
+
+
+A3 = [(1, 0, 0), (0, 1, 0), (1, 0, 1), (0, 1, 1), (1, -1, 0)]
+
+
+@pytest.mark.parametrize("abc, shear", [
+    ([(1, 0, 0), (1, 0, 1), (1, 0, 2)], 1),  # all vertical, all parallel
+    (A3, 2),
+    (A3 + [(1, 3, 5), (3, 1, 7)], 2),
+])
+def test_shear_search_named_cases(abc, shear):
+    lines = lines_of(*abc)
+    assert _choose_shear(lines, _lines_through_points(lines)) == shear
+    assert forbidden_set_shear(lines) == shear
+    assert wiring_presentation(lines)[1].shear == shear
+
+
+def test_shear_search_stops_when_candidates_run_out():
+    # a repeated point collides under every shear: the bounded search must
+    # end with an error rather than spin
+    with pytest.raises(ArrangementError, match="shear search"):
+        _choose_shear(lines_of((1, 0, 0)), [(Fraction(0), Fraction(0))] * 2)
+
+
+def random_arrangement(seed, m, lo=-6, hi=6):
+    """m distinct lines with integer coefficients drawn from lo..hi."""
+    rng = random.Random(seed)
+    lines = {}
+    while len(lines) < m:
+        a, b, c = (rng.randint(lo, hi) for _ in range(3))
+        if (a, b) != (0, 0):
+            lines.setdefault(Line.of(a, b, c), (a, b, c))
+    return list(lines.values())
+
+
+# Shear and SHA-256 of the `alexarr presentation` output after its first
+# (path) line, as the forbidden-set shear search produced them.
+PINNED_SWEEPS = [
+    ([(1, 0, 0), (1, 0, 2), (0, 1, 0), (0, 1, 1), (1, 1, 2), (1, -2, 0), (2, 1, 3)],
+     5, "084705e39c1f7e85f5b505df10f1d70e7cb0539f8ffa412655a13345243c9080"),
+    ([(0, 1, 0), (0, 1, 1), (0, 1, 2), (1, 1, 0), (1, 1, 3), (1, -1, 0), (1, -1, 1),
+      (2, 1, 1)],
+     5, "c2062d7cbf481f35d716476adadb7b25eddf1df75a990a012b67e48b0eb67796"),
+    (random_arrangement(12, 12),
+     13, "be6f7847c88d20fb76087712b6f2706494709e7f7d46a1ca6151eaa91f6d15f1"),
+]
+
+
+@pytest.mark.parametrize("abc, shear, digest", PINNED_SWEEPS,
+                         ids=["vertical", "parallel", "random12"])
+def test_presentation_output_pinned(tmp_path, abc, shear, digest):
+    src = tmp_path / "arr.txt"
+    src.write_text("".join(f"line: {a} {b} {c}\n" for a, b, c in abc))
+    out = tmp_path / "arr.dsl"
+    assert main(["presentation", str(src), "--out", str(out)]) == 0
+    path_line, body = out.read_text(encoding="utf-8").split("\n", 1)
+    assert path_line == f"# swept arrangement: {src}"
+    assert body.startswith(f"# shear: {shear}\n")
+    assert hashlib.sha256(body.encode("utf-8")).hexdigest() == digest
+
+
+def sweep_generic(lines, s):
+    """Check s from the sheared lines themselves: none vertical, and their
+    meeting points have pairwise distinct abscissas."""
+    sheared = [ln.shear(s) for ln in lines]
+    if any(ln.is_vertical() for ln in sheared):
+        return False
+    xs = [x for x, _ in _lines_through_points(sheared)]
+    return len(set(xs)) == len(xs)
+
+
+@pytest.mark.parametrize("lines", [
+    family_arrangement("generic", 40),
+    lines_of(*random_arrangement(40, 40)),
+], ids=["generic40", "random40"])
+def test_large_sweep(lines):
+    pres, prov = wiring_presentation(lines)
+    m = len(lines)
+    points = intersect_arrangement(lines).points
+    assert pres.num_relators == sum(len(idx) - 1 for _, idx in points)
+    for rel in pres.relators:
+        sums = Counter()
+        for x in rel.letters:
+            sums[abs(x)] += 1 if x > 0 else -1
+        assert not any(sums.values())
+    assert sorted(prov.wire_lines) == list(range(m))
+    assert sweep_generic(lines, prov.shear)
+    assert not any(sweep_generic(lines, t) for t in range(int(prov.shear)))
