@@ -47,12 +47,10 @@ from .groups import (
     serialize_presentation,
 )
 from .ringkit import (
-    IntMatrix,
-    LaurentMatrix,
     LaurentPolynomial,
+    Matrix,
     RationalFunction,
     UniPoly,
-    UniPolyMatrix,
     degree_spread,
     diagonalize_over_pid,
     exact_divide,

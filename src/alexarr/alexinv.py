@@ -35,7 +35,7 @@ from .foxcalc import AlexanderMatrix, alexander_matrix
 from .groups import Presentation, abelianize
 from .ringkit import (
     LaurentPolynomial,
-    UniPolyMatrix,
+    Matrix,
     degree_spread,
     diagonalize_over_pid,
     exact_divide,
@@ -144,7 +144,7 @@ def delta0_via_degree(source) -> Delta0:
     return _delta0_of(alexander_polynomial(source))
 
 
-def _substituted_matrix(A: AlexanderMatrix, distinguished: int) -> UniPolyMatrix:
+def _substituted_matrix(A: AlexanderMatrix, distinguished: int) -> Matrix:
     s = A.num_vars
     if not 0 <= distinguished < max(s, 1):
         raise ValueError("distinguished variable index out of range")
@@ -158,7 +158,7 @@ def _substituted_matrix(A: AlexanderMatrix, distinguished: int) -> UniPolyMatrix
                 p = p.permute_variables(perm)
             out.append(grade_substitute(p, psi))
         entries.append(out)
-    return UniPolyMatrix(entries, max(s - 1, 0), A.rows, A.cols)
+    return Matrix(entries, A.rows, A.cols)
 
 
 def delta0_via_pid(source, distinguished: int = 0) -> Delta0:

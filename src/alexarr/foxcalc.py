@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import Mapping
 
 from .groups import AbelianizationData, Presentation, Word, free_reduce
-from .ringkit import LaurentMatrix, LaurentPolynomial
+from .ringkit import LaurentPolynomial, Matrix
 
 
 class GroupRingElement:
@@ -162,7 +162,7 @@ class AlexanderMatrix:
     module on the generators).
     """
 
-    matrix: LaurentMatrix
+    matrix: Matrix
     presentation: Presentation
     ab: AbelianizationData
 
@@ -176,7 +176,7 @@ class AlexanderMatrix:
 
     @property
     def num_vars(self) -> int:
-        return self.matrix.num_vars
+        return self.ab.s
 
     def column_identity_holds(self, j: int) -> bool:
         """Check sum_i entry(i, j) * (monomial(x_i) - 1) == 0 for column j."""
@@ -200,5 +200,4 @@ def alexander_matrix(p: Presentation, ab: AbelianizationData | None = None) -> A
     for j, rel in enumerate(p.relators):
         for i in range(m):
             entries[i][j] = ring_image(fox_derivative(rel, i), ab)
-    mat = LaurentMatrix(entries, ab.s, m, q)
-    return AlexanderMatrix(mat, p, ab)
+    return AlexanderMatrix(Matrix(entries, m, q), p, ab)

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .ringkit import IntMatrix, smith_normal_form_int
+from .ringkit import Matrix, smith_normal_form_int
 
 
 class PresentationError(ValueError):
@@ -280,7 +280,7 @@ def abelianize(p: Presentation) -> AbelianizationData:
     if q == 0:
         qmap = tuple(tuple(1 if i == j else 0 for j in range(m)) for i in range(m))
         return AbelianizationData(m, qmap, False, (1,) * m, True)
-    ex = IntMatrix([r.exponent_vector(m) for r in p.relators], q, m)
+    ex = Matrix([r.exponent_vector(m) for r in p.relators], q, m)
     d, _, v = smith_normal_form_int(ex)
     diag = d.diagonal()
     rank = sum(1 for x in diag if x)

@@ -11,15 +11,13 @@ from .laurent import (
     unit_normalize,
 )
 from .matrices import (
-    IntMatrix,
-    LaurentMatrix,
+    Matrix,
     iter_minors,
     smith_normal_form_int,
 )
 from .ratfunc import (
     RationalFunction,
     UniPoly,
-    UniPolyMatrix,
     diagonalize_over_pid,
     grade_substitute,
 )
@@ -31,13 +29,11 @@ __all__ = [
     "exact_divide",
     "laurent_gcd",
     "unit_normalize",
-    "IntMatrix",
-    "LaurentMatrix",
+    "Matrix",
     "iter_minors",
     "smith_normal_form_int",
     "RationalFunction",
     "UniPoly",
-    "UniPolyMatrix",
     "diagonalize_over_pid",
     "grade_substitute",
 ]

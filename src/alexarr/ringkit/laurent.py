@@ -83,6 +83,9 @@ class LaurentPolynomial:
     def is_zero(self) -> bool:
         return not self.terms
 
+    def __bool__(self) -> bool:
+        return bool(self.terms)
+
     def is_constant(self) -> bool:
         return all(all(x == 0 for x in e) for e in self.terms)
 

@@ -1,20 +1,23 @@
-"""Exact matrices: one Euclidean elimination kernel, the integer Smith
-normal form built on it, and Laurent-polynomial minors."""
+"""Exact matrices: one matrix type for Z, Z[H] and K[t^±1] with one
+determinant, one Euclidean elimination kernel, the integer Smith normal form
+built on it, and the minor enumerator."""
 
 from __future__ import annotations
 
 from itertools import combinations
 from typing import Iterable, Sequence
 
-from .laurent import LaurentPolynomial
 
+class Matrix:
+    """Dense matrix over a commutative ring: Z, Z[H] or K[t^±1].
 
-class IntMatrix:
-    """Dense integer matrix with unbounded entries."""
+    Entries are ints, LaurentPolynomials or UniPolys; they test as zero by
+    truth value, as in `_eliminate`.
+    """
 
     __slots__ = ("rows", "cols", "entries")
 
-    def __init__(self, entries: Sequence[Sequence[int]], rows: int | None = None,
+    def __init__(self, entries: Sequence[Sequence], rows: int | None = None,
                  cols: int | None = None):
         data = [list(row) for row in entries]
         if rows is None:
@@ -28,69 +31,69 @@ class IntMatrix:
         self.entries = data
 
     @classmethod
-    def zero(cls, rows: int, cols: int) -> "IntMatrix":
-        return cls([[0] * cols for _ in range(rows)], rows, cols)
-
-    @classmethod
-    def identity(cls, n: int) -> "IntMatrix":
+    def identity(cls, n: int) -> "Matrix":
+        """The n x n integer identity."""
         return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)], n, n)
 
-    def copy(self) -> "IntMatrix":
-        return IntMatrix([row[:] for row in self.entries], self.rows, self.cols)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, IntMatrix)
-            and self.rows == other.rows
-            and self.cols == other.cols
-            and self.entries == other.entries
-        )
-
-    def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
-        if self.cols != other.rows:
-            raise ValueError("dimension mismatch in matrix product")
-        out = [[0] * other.cols for _ in range(self.rows)]
-        for i in range(self.rows):
-            row = self.entries[i]
-            for k in range(self.cols):
-                a = row[k]
-                if a:
-                    brow = other.entries[k]
-                    orow = out[i]
-                    for j in range(other.cols):
-                        orow[j] += a * brow[j]
-        return IntMatrix(out, self.rows, other.cols)
+    def submatrix(self, row_idx: Iterable[int], col_idx: Iterable[int]) -> "Matrix":
+        ri = list(row_idx)
+        ci = list(col_idx)
+        return Matrix([[self.entries[i][j] for j in ci] for i in ri], len(ri), len(ci))
 
     def diagonal(self) -> list:
         return [self.entries[i][i] for i in range(min(self.rows, self.cols))]
 
+    def __matmul__(self, other: "Matrix") -> "Matrix":
+        if self.cols != other.rows:
+            raise ValueError("dimension mismatch in matrix product")
+        b = other.entries
+        return Matrix(
+            [[sum(row[k] * b[k][j] for k in range(self.cols)) for j in range(other.cols)]
+             for row in self.entries],
+            self.rows, other.cols,
+        )
+
+    def determinant(self):
+        """First-column cofactor expansion, memoized on the row subset.
+
+        Each k x k block on the last k columns is expanded once per row
+        subset, so an n x n determinant costs O(n 2^n) ring operations and
+        no division.  A 0 x 0 matrix has no entry to name its ring, so its
+        determinant raises ValueError.
+        """
+        n = self.rows
+        if n != self.cols:
+            raise ValueError(f"determinant of a non-square {n}x{self.cols} matrix")
+        if n == 0:
+            raise ValueError("determinant of a 0x0 matrix: its ring is unknown")
+        entries = self.entries
+        cache: dict = {}
+
+        def rec(rows: tuple, depth: int):
+            # determinant of the square block entries[rows] x columns[depth:]
+            if len(rows) == 1:
+                return entries[rows[0]][depth]
+            got = cache.get(rows)
+            if got is not None:
+                return got
+            acc = None
+            for pos, i in enumerate(rows):
+                e = entries[i][depth]
+                if not e:
+                    continue
+                term = e * rec(rows[:pos] + rows[pos + 1 :], depth + 1)
+                if pos % 2:
+                    term = -term
+                acc = term if acc is None else acc + term
+            if acc is None:  # a zero column: its entries are the ring's zero
+                acc = entries[rows[0]][depth]
+            cache[rows] = acc
+            return acc
+
+        return rec(tuple(range(n)), 0)
+
     def __repr__(self):
-        return f"IntMatrix({self.entries!r})"
-
-
-def _det_int(entries: list) -> int:
-    """Determinant by fraction-free (Bareiss) elimination."""
-    n = len(entries)
-    if n == 0:
-        return 1
-    a = [row[:] for row in entries]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            for i in range(k + 1, n):
-                if a[i][k]:
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
+        return f"Matrix({self.entries!r})"
 
 
 def _eliminate(a: list, rows: int, cols: int, size, divide) -> int:
@@ -180,7 +183,7 @@ def _eliminate(a: list, rows: int, cols: int, size, divide) -> int:
     return t
 
 
-def smith_normal_form_int(M: IntMatrix) -> tuple:
+def smith_normal_form_int(M: Matrix) -> tuple:
     """Smith normal form over Z.
 
     Returns (D, U, V) with U*M*V == D, U and V unimodular, D diagonal with
@@ -188,89 +191,20 @@ def smith_normal_form_int(M: IntMatrix) -> tuple:
     """
     rows, cols = M.rows, M.cols
     # [[M, I_rows], [I_cols, 0]]: row operations carry U, column operations V
-    a = [row + e for row, e in zip(M.entries, IntMatrix.identity(rows).entries)]
-    a += [e + [0] * rows for e in IntMatrix.identity(cols).entries]
+    a = [row + e for row, e in zip(M.entries, Matrix.identity(rows).entries)]
+    a += [e + [0] * rows for e in Matrix.identity(cols).entries]
     rank = _eliminate(a, rows, cols, abs, divmod)
     for i in range(rank):
         if a[i][i] < 0:
             a[i] = [-x for x in a[i]]
     return (
-        IntMatrix([row[:cols] for row in a[:rows]], rows, cols),
-        IntMatrix([row[cols:] for row in a[:rows]], rows, rows),
-        IntMatrix([row[:cols] for row in a[rows:]], cols, cols),
+        Matrix([row[:cols] for row in a[:rows]], rows, cols),
+        Matrix([row[cols:] for row in a[:rows]], rows, rows),
+        Matrix([row[:cols] for row in a[rows:]], cols, cols),
     )
 
 
-class LaurentMatrix:
-    """Matrix with Laurent-polynomial entries sharing one variable count."""
-
-    __slots__ = ("rows", "cols", "num_vars", "entries")
-
-    def __init__(self, entries: Sequence[Sequence[LaurentPolynomial]], num_vars: int,
-                 rows: int | None = None, cols: int | None = None):
-        data = [list(row) for row in entries]
-        if rows is None:
-            rows = len(data)
-        if cols is None:
-            cols = len(data[0]) if data else 0
-        if len(data) != rows or any(len(r) != cols for r in data):
-            raise ValueError("inconsistent matrix dimensions")
-        for row in data:
-            for p in row:
-                if p.num_vars != num_vars:
-                    raise ValueError("entry variable count differs from matrix")
-        self.rows = rows
-        self.cols = cols
-        self.num_vars = num_vars
-        self.entries = data
-
-    def submatrix(self, row_idx: Iterable[int], col_idx: Iterable[int]) -> "LaurentMatrix":
-        ri = list(row_idx)
-        ci = list(col_idx)
-        return LaurentMatrix(
-            [[self.entries[i][j] for j in ci] for i in ri], self.num_vars,
-            len(ri), len(ci),
-        )
-
-    def determinant(self) -> LaurentPolynomial:
-        return _det_laurent(self.entries, self.num_vars)
-
-    def __repr__(self):
-        body = "; ".join(
-            ", ".join(str(p) for p in row) for row in self.entries
-        )
-        return f"LaurentMatrix({self.rows}x{self.cols}: {body})"
-
-
-def _det_laurent(entries: list, num_vars: int) -> LaurentPolynomial:
-    """Determinant by first-column cofactor expansion with subset memoization."""
-    n = len(entries)
-    if n == 0:
-        return LaurentPolynomial.one(num_vars)
-    cache: dict = {}
-
-    def rec(rows: tuple, depth: int) -> LaurentPolynomial:
-        # determinant of the square block entries[rows] x columns[depth:]
-        if len(rows) == 1:
-            return entries[rows[0]][depth]
-        got = cache.get(rows)
-        if got is not None:
-            return got
-        acc = LaurentPolynomial.zero(num_vars)
-        for pos, i in enumerate(rows):
-            e = entries[i][depth]
-            if e.is_zero():
-                continue
-            sub = rec(rows[:pos] + rows[pos + 1 :], depth + 1)
-            term = e * sub
-            acc = acc + term if pos % 2 == 0 else acc - term
-        cache[rows] = acc
-        return acc
-
-    return rec(tuple(range(n)), 0)
-
-
-def iter_minors(M: LaurentMatrix, k: int):
+def iter_minors(M: Matrix, k: int):
     """A lazy iterator over all k x k minor determinants of M.
 
     Deterministic order: row subsets lexicographic, then column subsets

@@ -15,7 +15,7 @@ from __future__ import annotations
 from typing import Sequence
 
 from .laurent import LaurentPolynomial, exact_divide, _poly_gcd
-from .matrices import _eliminate
+from .matrices import Matrix, _eliminate
 
 
 class RationalFunction:
@@ -205,10 +205,6 @@ class UniPoly:
     def __bool__(self) -> bool:
         return bool(self.coeffs)
 
-    def is_laurent_unit(self) -> bool:
-        """True iff of the form c * t^k with c a nonzero field element."""
-        return len(self.coeffs) == 1
-
     def spread(self) -> int:
         """Degree as a Laurent polynomial: top exponent minus bottom exponent."""
         if self.is_zero():
@@ -259,9 +255,6 @@ class UniPoly:
                     continue
                 out[i + j] = out[i + j] + a * b
         return UniPoly(self.num_vars, out, self.low + other.low)
-
-    def shift_t(self, k: int) -> "UniPoly":
-        return UniPoly(self.num_vars, self.coeffs, self.low + k)
 
     def __eq__(self, other):
         return (
@@ -331,26 +324,6 @@ class UniPoly:
         return f"UniPoly({self})"
 
 
-class UniPolyMatrix:
-    """Matrix over the univariate PID; rows index module generators."""
-
-    __slots__ = ("rows", "cols", "num_vars", "entries")
-
-    def __init__(self, entries: Sequence[Sequence[UniPoly]], num_vars: int,
-                 rows: int | None = None, cols: int | None = None):
-        data = [list(row) for row in entries]
-        if rows is None:
-            rows = len(data)
-        if cols is None:
-            cols = len(data[0]) if data else 0
-        if len(data) != rows or any(len(r) != cols for r in data):
-            raise ValueError("inconsistent matrix dimensions")
-        self.rows = rows
-        self.cols = cols
-        self.num_vars = num_vars
-        self.entries = data
-
-
 def grade_substitute(p: LaurentPolynomial, psi: Sequence[int]) -> UniPoly:
     """Push a Laurent polynomial into the univariate ring over the fraction field.
 
@@ -383,7 +356,7 @@ def grade_substitute(p: LaurentPolynomial, psi: Sequence[int]) -> UniPoly:
     return UniPoly(uvars, coeffs, lo)
 
 
-def diagonalize_over_pid(M: UniPolyMatrix) -> tuple:
+def diagonalize_over_pid(M: Matrix) -> tuple:
     """Invariant factors and free rank of the module presented by M.
 
     M presents coker(M): the quotient of the free module on the rows by the

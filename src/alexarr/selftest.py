@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from itertools import permutations
 from typing import Callable, Iterable
 
 from .alexinv import (
@@ -49,17 +48,6 @@ def equal_up_to_units(a: LaurentPolynomial, b: LaurentPolynomial) -> bool:
     return unit_normalize(a) == unit_normalize(b)
 
 
-def equal_up_to_units_and_relabeling(a: LaurentPolynomial, b: LaurentPolynomial) -> bool:
-    """Equality up to units and a permutation of the variables."""
-    if a.num_vars != b.num_vars:
-        return False
-    na = unit_normalize(a)
-    for perm in permutations(range(b.num_vars)):
-        if unit_normalize(b.permute_variables(perm)) == na:
-            return True
-    return False
-
-
 HOPF_DSL = "gens: a b\nrel: a b a^-1 b^-1\n"
 TREFOIL_DSL = "gens: a b\nrel: a b a b^-1 a^-1 b^-1\n"
 
@@ -88,18 +76,29 @@ class CorpusCase:
     """One presentation with everything known about it."""
 
     name: str
-    build: Callable[[], Presentation]
+    # -> (presentation, wire order): the wire order is None unless the case
+    # is swept, and then variable i is the meridian of input line
+    # wire_order[i]
+    present: Callable[[], tuple]
     delta0: Delta0
-    # expected polynomial up to units (and relabeling for swept cases)
+    # expected polynomial up to units; for an arrangement, variable j is the
+    # meridian of input line j
     delta_poly: Callable[[], LaurentPolynomial] | None = None
-    relabeling_ok: bool = False
     delta_constant: bool = False
+
+    def build(self) -> Presentation:
+        return self.present()[0]
+
+
+def _swept(lines: list) -> tuple:
+    pres, sweep = wiring_presentation(lines)
+    return pres, sweep.wire_lines
 
 
 def _family_case(family: str, m: int, delta0: Delta0, **kw) -> CorpusCase:
     return CorpusCase(
         name=f"family-{family}-{m}",
-        build=lambda: family_presentation(family, m),
+        present=lambda: (family_presentation(family, m), None),
         delta0=delta0,
         **kw,
     )
@@ -108,9 +107,8 @@ def _family_case(family: str, m: int, delta0: Delta0, **kw) -> CorpusCase:
 def _wiring_case(family: str, m: int, delta0: Delta0, **kw) -> CorpusCase:
     return CorpusCase(
         name=f"wiring-{family}-{m}",
-        build=lambda: wiring_presentation(family_arrangement(family, m))[0],
+        present=lambda: _swept(family_arrangement(family, m)),
         delta0=delta0,
-        relabeling_ok=True,
         **kw,
     )
 
@@ -160,18 +158,16 @@ def corpus_cases() -> list:
     cases.append(
         CorpusCase(
             "wiring-nodal-transversal-4",
-            lambda: wiring_presentation(nodal_transversal_arrangement())[0],
+            lambda: _swept(nodal_transversal_arrangement()),
             Delta0.of(0),
-            relabeling_ok=True,
             delta_constant=True,
         )
     )
     cases.append(
         CorpusCase(
             "wiring-two-parallel-pairs-4",
-            lambda: wiring_presentation(two_parallel_pairs_arrangement())[0],
+            lambda: _swept(two_parallel_pairs_arrangement()),
             Delta0.of(0),
-            relabeling_ok=True,
             delta_constant=True,
         )
     )
@@ -179,7 +175,7 @@ def corpus_cases() -> list:
     cases.append(
         CorpusCase(
             "dsl-hopf",
-            lambda: parse_presentation(HOPF_DSL),
+            lambda: (parse_presentation(HOPF_DSL), None),
             Delta0.of(0),
             delta_constant=True,
         )
@@ -187,7 +183,7 @@ def corpus_cases() -> list:
     cases.append(
         CorpusCase(
             "dsl-trefoil",
-            lambda: parse_presentation(TREFOIL_DSL),
+            lambda: (parse_presentation(TREFOIL_DSL), None),
             Delta0.of(2),
             delta_poly=lambda: (
                 LaurentPolynomial.variable(0, 1) ** 2
@@ -218,7 +214,7 @@ class CheckResult:
 def check_case(case: CorpusCase) -> CheckResult:
     t0 = time.time()
     try:
-        pres = case.build()
+        pres, wire_order = case.present()
         report = compute_invariants(pres, routes="both")
     except Exception as exc:  # a corpus case must never raise
         return CheckResult(case.name, False, f"exception: {exc}", time.time() - t0)
@@ -232,11 +228,9 @@ def check_case(case: CorpusCase) -> CheckResult:
         problems.append(f"delta0={report.delta0}, expected {case.delta0}")
     if case.delta_poly is not None:
         expected = case.delta_poly()
-        if case.relabeling_ok:
-            ok = equal_up_to_units_and_relabeling(report.alexander_poly, expected)
-        else:
-            ok = equal_up_to_units(report.alexander_poly, expected)
-        if not ok:
+        if wire_order is not None:
+            expected = expected.permute_variables(wire_order)
+        if not equal_up_to_units(report.alexander_poly, expected):
             problems.append(
                 f"polynomial {report.alexander_poly} != expected {expected} (up to units)"
             )

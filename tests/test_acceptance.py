@@ -32,19 +32,17 @@ from alexarr.arrangements import (
 from alexarr.foxcalc import alexander_matrix, check_fundamental_identity
 from alexarr.groups import Word
 from alexarr.ringkit import (
-    IntMatrix,
     LaurentPolynomial,
+    Matrix,
     degree_spread,
     diagonalize_over_pid,
     divides,
     laurent_gcd,
     smith_normal_form_int,
 )
-from alexarr.ringkit.matrices import _det_int
 from alexarr.selftest import (
     corpus_cases,
     equal_up_to_units,
-    equal_up_to_units_and_relabeling,
     nodal_transversal_arrangement,
     product_minus_one_power,
     run_selftest,
@@ -76,11 +74,14 @@ def test_criterion_1_pencil_values():
             assert time.time() - t0 <= 30.0
 
             t0 = time.time()
-            pres, _ = wiring_presentation(family_arrangement("pencil", m))
+            pres, sweep = wiring_presentation(family_arrangement("pencil", m))
             wir = compute_invariants(pres)
             assert wir.delta0 == expected_d0
             assert wir.route_agreement
-            assert equal_up_to_units_and_relabeling(wir.alexander_poly, expected_poly)
+            # variable i is the meridian of input line sweep.wire_lines[i]
+            assert equal_up_to_units(
+                wir.alexander_poly, expected_poly.permute_variables(sweep.wire_lines)
+            )
             assert time.time() - t0 <= 30.0
 
 
@@ -95,7 +96,9 @@ def test_criterion_2_near_pencil_values():
             pres, sweep = wiring_presentation(family_arrangement("near-pencil", m))
             wir = compute_invariants(pres)
             assert wir.delta0 == Delta0.of(m - 2)
-            assert equal_up_to_units_and_relabeling(wir.alexander_poly, expected_poly)
+            assert equal_up_to_units(
+                wir.alexander_poly, expected_poly.permute_variables(sweep.wire_lines)
+            )
             # the surviving variable is the transversal line's, by identity:
             # the transversal is the last input line, its variable is its
             # wire position
@@ -215,7 +218,7 @@ def test_criterion_8b_snf_200_matrices():
         for _ in range(200):
             rows = rng.randint(1, 6)
             cols = rng.randint(1, 6)
-            m = IntMatrix(
+            m = Matrix(
                 [[rng.randint(-20, 20) for _ in range(cols)] for _ in range(rows)]
             )
             d, u, v = smith_normal_form_int(m)
@@ -231,7 +234,7 @@ def test_criterion_8b_snf_200_matrices():
                 prod = 1
                 for x in diag:
                     prod *= x
-                assert abs(_det_int(m.entries)) == prod
+                assert abs(m.determinant()) == prod
 
 
 def _random_poly(rng, num_vars):

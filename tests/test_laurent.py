@@ -41,6 +41,13 @@ def test_zero_coefficients_pruned():
     assert p.terms == {(0,): 3}
 
 
+def test_truth_value_is_nonzero():
+    assert not LaurentPolynomial.zero(2)
+    assert not (var(0) - var(0))
+    assert LaurentPolynomial.one(0)
+    assert var(1) - 1
+
+
 def test_exponent_length_checked():
     with pytest.raises(ValueError):
         lp(2, {(1,): 1})

@@ -1,36 +1,38 @@
-"""Integer Smith normal form and Laurent minors."""
+"""The one matrix type: its determinant over Z, Z[H] and K[t^±1], the
+integer Smith normal form, and Laurent minors."""
 
 import random
+from itertools import permutations
 
 import pytest
 
+import alexarr.ringkit
 from alexarr.ringkit import (
-    IntMatrix,
-    LaurentMatrix,
     LaurentPolynomial,
+    Matrix,
+    UniPoly,
     iter_minors,
     smith_normal_form_int,
     unit_normalize,
 )
-from alexarr.ringkit.matrices import _det_int
 
 
 def test_snf_classic_example():
-    d, u, v = smith_normal_form_int(IntMatrix([[2, 0], [0, 3]]))
+    d, u, v = smith_normal_form_int(Matrix([[2, 0], [0, 3]]))
     assert d.diagonal() == [1, 6]
 
 
 def test_snf_zero_and_identity():
-    z = IntMatrix.zero(2, 3)
+    z = Matrix([[0] * 3 for _ in range(2)])
     d, u, v = smith_normal_form_int(z)
     assert d.entries == z.entries
-    i3 = IntMatrix.identity(3)
+    i3 = Matrix.identity(3)
     d, u, v = smith_normal_form_int(i3)
     assert d.entries == i3.entries
 
 
-def _is_unimodular(m: IntMatrix) -> bool:
-    return abs(_det_int(m.entries)) == 1
+def _is_unimodular(m: Matrix) -> bool:
+    return abs(m.determinant()) == 1
 
 
 def test_snf_random_reconstruction_and_chain():
@@ -38,7 +40,7 @@ def test_snf_random_reconstruction_and_chain():
     for _ in range(120):
         rows = rng.randint(1, 6)
         cols = rng.randint(1, 6)
-        m = IntMatrix(
+        m = Matrix(
             [[rng.randint(-12, 12) for _ in range(cols)] for _ in range(rows)]
         )
         d, u, v = smith_normal_form_int(m)
@@ -62,7 +64,7 @@ def test_snf_random_reconstruction_and_chain():
             prod = 1
             for x in diag:
                 prod *= x
-            assert abs(_det_int(m.entries)) == prod
+            assert abs(m.determinant()) == prod
 
 
 # ----------------------------------------------------------------------
@@ -75,14 +77,14 @@ def _vars3():
 
 def test_minors_of_column_are_entries():
     t1, t2 = (LaurentPolynomial.variable(i, 2) for i in range(2))
-    m = LaurentMatrix([[1 - t2], [t1 - 1]], 2)
+    m = Matrix([[1 - t2], [t1 - 1]])
     assert list(iter_minors(m, 1)) == [1 - t2, t1 - 1]
 
 
 def test_minor_of_diagonal_is_product():
     t1, t2 = (LaurentPolynomial.variable(i, 2) for i in range(2))
     z = LaurentPolynomial.zero(2)
-    m = LaurentMatrix([[t1, z], [z, t2 - 1]], 2)
+    m = Matrix([[t1, z], [z, t2 - 1]])
     assert list(iter_minors(m, 2)) == [t1 * (t2 - 1)]
 
 
@@ -91,7 +93,7 @@ def test_minors_of_central_commutator_matrix():
     # column-set lexicographic order
     t1, t2, t3 = _vars3()
     z = LaurentPolynomial.zero(3)
-    m = LaurentMatrix([[1 - t3, z], [z, 1 - t3], [t1 - 1, t2 - 1]], 3)
+    m = Matrix([[1 - t3, z], [z, 1 - t3], [t1 - 1, t2 - 1]])
     got = list(iter_minors(m, 2))
     expected = [
         (1 - t3) * (1 - t3),
@@ -106,18 +108,29 @@ def test_minors_of_central_commutator_matrix():
 
 def test_minor_size_out_of_range():
     t1 = LaurentPolynomial.variable(0, 1)
-    m = LaurentMatrix([[t1]], 1)
+    m = Matrix([[t1]])
     with pytest.raises(ValueError):
         iter_minors(m, 2)
     with pytest.raises(ValueError):
         iter_minors(m, 0)
 
 
+def _leibniz(entries, one):
+    """Determinant as the signed sum over all permutations."""
+    n = len(entries)
+    acc = one - one
+    for perm in permutations(range(n)):
+        inversions = sum(1 for i in range(n) for j in range(i + 1, n) if perm[i] > perm[j])
+        term = one
+        for i in range(n):
+            term = term * entries[i][perm[i]]
+        acc = acc - term if inversions % 2 else acc + term
+    return acc
+
+
 def test_laurent_determinant_matches_permanent_expansion():
     # cross-check the memoized cofactor expansion against an independent
-    # Leibniz-formula evaluation on random small matrices
-    from itertools import permutations
-
+    # Leibniz-formula evaluation on random small matrices over Z[H] and Z
     rng = random.Random(7)
     for _ in range(25):
         n = rng.randint(1, 4)
@@ -131,21 +144,32 @@ def test_laurent_determinant_matches_permanent_expansion():
                     terms[e] = terms.get(e, 0) + rng.randint(-3, 3)
                 row.append(LaurentPolynomial(2, terms))
             entries.append(row)
-        m = LaurentMatrix(entries, 2)
-        acc = LaurentPolynomial.zero(2)
-        for perm in permutations(range(n)):
-            sign = 1
-            seen = [False] * n
-            # count inversions for the signature
-            inv = sum(
-                1
-                for i in range(n)
-                for j in range(i + 1, n)
-                if perm[i] > perm[j]
-            )
-            sign = -1 if inv % 2 else 1
-            term = LaurentPolynomial.one(2)
-            for i in range(n):
-                term = term * entries[i][perm[i]]
-            acc = acc + term if sign > 0 else acc - term
-        assert m.determinant() == acc
+        assert Matrix(entries).determinant() == _leibniz(entries, LaurentPolynomial.one(2))
+    for _ in range(200):
+        n = rng.randint(1, 5)
+        density = rng.random()
+        entries = [
+            [rng.randint(-9, 9) if rng.random() < density else 0 for _ in range(n)]
+            for _ in range(n)
+        ]
+        assert Matrix(entries).determinant() == _leibniz(entries, 1)
+
+
+def test_determinant_over_the_pid():
+    t = UniPoly.t_power(1, 0)
+    one, z = UniPoly.one(0), UniPoly.zero(0)
+    m = Matrix([[t, one, z], [one, t, one], [z, one, t]])
+    assert m.determinant() == t * t * t - t - t
+
+
+def test_determinant_needs_a_nonempty_square_matrix():
+    with pytest.raises(ValueError):
+        Matrix([], 0, 0).determinant()
+    with pytest.raises(ValueError):
+        Matrix([[1, 2]]).determinant()
+
+
+def test_ringkit_exports_resolve():
+    for name in alexarr.ringkit.__all__:
+        assert hasattr(alexarr.ringkit, name), name
+    assert len(set(alexarr.ringkit.__all__)) == len(alexarr.ringkit.__all__)

@@ -6,11 +6,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from alexarr.ringkit import (
-    LaurentMatrix,
     LaurentPolynomial,
+    Matrix,
     RationalFunction,
     UniPoly,
-    UniPolyMatrix,
     degree_spread,
     diagonalize_over_pid,
     grade_substitute,
@@ -173,7 +172,7 @@ def test_diagonalize_diag_example():
     one = UniPoly.one(0)
     tm1 = tpow(1, 0) - one
     z = UniPoly.zero(0)
-    factors, free = diagonalize_over_pid(UniPolyMatrix([[tm1, z], [z, one]], 0))
+    factors, free = diagonalize_over_pid(Matrix([[tm1, z], [z, one]]))
     assert free == 0
     assert len(factors) == 1
     assert factors[0] == tm1.monic()
@@ -181,8 +180,8 @@ def test_diagonalize_diag_example():
 
 def test_diagonalize_coprime_column_is_free():
     u = RationalFunction(LaurentPolynomial.variable(0, 1))
-    col = UniPolyMatrix(
-        [[UniPoly.one(1) - tpow(1, 1) * u], [tpow(1, 1) - UniPoly.one(1)]], 1
+    col = Matrix(
+        [[UniPoly.one(1) - tpow(1, 1) * u], [tpow(1, 1) - UniPoly.one(1)]]
     )
     factors, free = diagonalize_over_pid(col)
     assert factors == []
@@ -195,13 +194,13 @@ def test_diagonalize_folds_coprime_pivots_into_one_factor():
     u = RationalFunction(LaurentPolynomial.variable(0, 1))
     t, z = tpow(1, 1), UniPoly.zero(1)
     a, b = t - UniPoly.one(1) * u, t + UniPoly.one(1) * u
-    factors, free = diagonalize_over_pid(UniPolyMatrix([[a, z], [z, b]], 1))
+    factors, free = diagonalize_over_pid(Matrix([[a, z], [z, b]]))
     assert free == 0
     assert factors == [(a * b).monic()]
 
 
 def test_diagonalize_empty_matrix_is_free_module():
-    factors, free = diagonalize_over_pid(UniPolyMatrix([[], []], 0, rows=2, cols=0))
+    factors, free = diagonalize_over_pid(Matrix([[], []], rows=2, cols=0))
     assert factors == []
     assert free == 2
 
@@ -228,13 +227,13 @@ def test_diagonalize_rank_accounting_and_minor_gcd():
             for _ in range(rows)
         ]
         entries = [[grade_substitute(p, [1]) for p in row] for row in lint]
-        m = UniPolyMatrix(entries, 0, rows, cols)
+        m = Matrix(entries, rows, cols)
         factors, free = diagonalize_over_pid(m)
         rank = rows - free
         assert 0 <= rank <= min(rows, cols)
         assert len(factors) <= rank
         if rank:
-            lm = LaurentMatrix(lint, 1, rows, cols)
+            lm = Matrix(lint, rows, cols)
             g = laurent_gcd(iter_minors(lm, rank))
             prod = UniPoly.one(0)
             for f in factors:
@@ -256,12 +255,12 @@ def test_diagonalize_over_rational_functions_matches_minor_gcd(data):
     rows = data.draw(st.integers(1, 4))
     cols = data.draw(st.integers(1, 4))
     lint = [[data.draw(_laurent_tu) for _ in range(cols)] for _ in range(rows)]
-    m = UniPolyMatrix(
-        [[grade_substitute(p, [1, 1]) for p in row] for row in lint], 1, rows, cols
+    m = Matrix(
+        [[grade_substitute(p, [1, 1]) for p in row] for row in lint], rows, cols
     )
     factors, free = diagonalize_over_pid(m)
     rank = rows - free
-    lm = LaurentMatrix(lint, 2, rows, cols)
+    lm = Matrix(lint, rows, cols)
     if rank < min(rows, cols):
         assert all(minor.is_zero() for minor in iter_minors(lm, rank + 1))
     if rank:
