@@ -8,6 +8,7 @@ from .alexinv import (
     Delta0,
     InconsistentPresentationError,
     InvariantReport,
+    SpecializationError,
     alexander_polynomial,
     characteristic_codim_flag,
     compute_invariants,

@@ -21,34 +21,75 @@ This divides the enumeration by m.  When every x_k = 1 (H trivial) the
 formula says nothing, and all minors of size m - 1 are enumerated.  The
 full enumeration survives only as the oracle in the tests.
 
-Route two localizes: every variable is rewritten as u_i * t (u_1 = 1),
-entries become univariate polynomials over the rational-function field in
-the u's, and the module is diagonalized over that PID.  The two answers
-agree, including the infinite cases, and the tests enforce this on the
-whole corpus.
+Route two localizes: every variable is rewritten as u_i * t (u_1 = 1), and
+the module is diagonalized over the PID K[t^{±1}], K the rational-function
+field in the u's; the free rank and the total t-degree of the torsion give
+the answer.  `delta0_via_pid` specializes the u's at a random point of
+(F_p^*)^(s-1), p = 2^61 - 1, and diagonalizes over F_p[t^{±1}] with the one
+elimination kernel; three independent draws must agree.
+`delta0_via_pid_exact` keeps the exact arithmetic over K as the oracle of
+the tests and the selftest.  The two routes agree, including the infinite
+cases, and the tests enforce this on the whole corpus.
+
+Error of a draw.  Let r be the rank over K of the substituted n x q
+matrix, d the largest u-degree of a term once each u_i is shifted by its
+least exponent over the matrix, and w the t-spread of all entries
+together.  Specialization never raises the rank, so a free rank of zero is
+never a false report.  A draw can move the answer only if it is a zero of
+a nonzero polynomial in the u's with three factors:
+
+- a nonzero t-coefficient of a nonzero r x r minor (else the rank drops),
+  of u-degree at most r d;
+- the leading and trailing t-coefficients of G, the gcd of the r x r
+  minors mu_j (else the t-spread of G drops), at most r d each;
+- the resultant in t of nu_1 and nu', where nu_j = mu_j / G are the
+  cofactors and nu' is a fixed integer combination of them coprime to
+  nu_1 (a pair of cofactors may share factors while the family is
+  coprime), else specialization adds a common factor: a Sylvester matrix
+  of at most 2 r w rows, each of u-degree at most r d.
+
+So D = r d (3 + 2 r w), and by the Schwartz-Zippel lemma (Schwartz 1980;
+Zippel 1979) a draw uniform in F_p^* is bad with probability at most
+D / (p - 1), about D / p = D * 2^-61.  The bound assumes p does not divide
+every coefficient of that polynomial.  A wrong answer needs three bad
+draws that agree, at most (D / (p - 1))^3; a false disagreement, which
+stops the run, at most 3 D / (p - 1).  Under routes="both" the reported
+degree is the exact degree route's, so a bad draw can only turn into a
+reported route disagreement, never a wrong degree.
 """
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass, field
+
 from .foxcalc import AlexanderMatrix, alexander_matrix
 from .groups import Presentation, abelianize
 from .ringkit import (
+    PRIME,
     LaurentPolynomial,
     Matrix,
     degree_spread,
+    diagonalize_mod_p,
     diagonalize_over_pid,
     exact_divide,
     grade_substitute,
     iter_minors,
     laurent_gcd,
+    specialize,
     unit_normalize,
 )
+
+DRAWS = 3
 
 
 class InconsistentPresentationError(ValueError):
     """The localized module has no free summand; the presentation cannot
     come from a connected curve complement with the claimed meridians."""
+
+
+class SpecializationError(RuntimeError):
+    """Independent random draws of the localized route disagree."""
 
 
 @dataclass(frozen=True)
@@ -146,8 +187,6 @@ def delta0_via_degree(source) -> Delta0:
 
 def _substituted_matrix(A: AlexanderMatrix, distinguished: int) -> Matrix:
     s = A.num_vars
-    if not 0 <= distinguished < max(s, 1):
-        raise ValueError("distinguished variable index out of range")
     perm = [distinguished] + [k for k in range(s) if k != distinguished]
     psi = [1] * s
     entries = []
@@ -161,8 +200,19 @@ def _substituted_matrix(A: AlexanderMatrix, distinguished: int) -> Matrix:
     return Matrix(entries, A.rows, A.cols)
 
 
-def delta0_via_pid(source, distinguished: int = 0) -> Delta0:
-    """Localized route: diagonalize the substituted matrix over the PID.
+def _localized_matrix(source, distinguished: int) -> AlexanderMatrix:
+    A = _coerce_matrix(source)
+    if A.num_vars < 1:
+        raise InconsistentPresentationError(
+            "the group has trivial torsion-free abelianization; no linking direction exists"
+        )
+    if not 0 <= distinguished < A.num_vars:
+        raise ValueError("distinguished variable index out of range")
+    return A
+
+
+def _localized_degree(factors: list, free_rank: int) -> Delta0:
+    """The degree read off the diagonalized localized module.
 
     The presented module is the relative first homology of the pair; for a
     curve-complement presentation it carries exactly one free summand, and
@@ -171,13 +221,6 @@ def delta0_via_pid(source, distinguished: int = 0) -> Delta0:
     degree is infinite.  No free summand at all is reported as an
     inconsistency in the input presentation.
     """
-    A = _coerce_matrix(source)
-    if A.num_vars < 1:
-        raise InconsistentPresentationError(
-            "the group has trivial torsion-free abelianization; no linking direction exists"
-        )
-    sub = _substituted_matrix(A, distinguished)
-    factors, free_rank = diagonalize_over_pid(sub)
     if free_rank >= 2:
         return DELTA0_INFINITE
     if free_rank == 0:
@@ -186,6 +229,43 @@ def delta0_via_pid(source, distinguished: int = 0) -> Delta0:
             "compatible with a curve-complement deficiency"
         )
     return Delta0.of(sum(f.spread() for f in factors))
+
+
+def delta0_via_pid_exact(source, distinguished: int = 0) -> Delta0:
+    """Localized route in exact arithmetic over K = Q(u): the oracle of
+    `delta0_via_pid`.  Coefficient growth in K makes it slow beyond small
+    inputs."""
+    A = _localized_matrix(source, distinguished)
+    return _localized_degree(*diagonalize_over_pid(_substituted_matrix(A, distinguished)))
+
+
+def delta0_via_pid(source, distinguished: int = 0) -> Delta0:
+    """Localized route over F_p[t^{±1}] at random points.
+
+    Each draw maps the Fox entries straight to F_p[t^{±1}]: a term c * x^e
+    becomes c * prod_i u_i^(e_i) mod p in t-degree sum(e), with u = 1 for
+    the distinguished variable and u_i uniform in [1, p) for the others.
+    The DRAWS independent draws must give the same free rank and torsion
+    degree, or SpecializationError is raised.  The module docstring bounds
+    the chance of a bad draw by D / (p - 1).
+    """
+    A = _localized_matrix(source, distinguished)
+    psi = [1] * A.num_vars
+    rng = random.SystemRandom()  # os.urandom, not the seedable global state
+    seen = []
+    for _ in range(DRAWS):
+        points = [1 if i == distinguished else rng.randrange(1, PRIME)
+                  for i in range(A.num_vars)]
+        factors, free_rank = diagonalize_mod_p(Matrix(
+            [[specialize(p, psi, points) for p in row] for row in A.matrix.entries],
+            A.rows, A.cols))
+        seen.append((free_rank, sum(f.spread() for f in factors)))
+    if len(set(seen)) > 1:
+        raise SpecializationError(
+            "localized route: random specializations mod 2^61 - 1 disagree, "
+            f"(free rank, torsion degree) = {seen}"
+        )
+    return _localized_degree(factors, free_rank)
 
 
 def characteristic_codim_flag(delta: LaurentPolynomial) -> bool:

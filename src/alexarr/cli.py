@@ -8,7 +8,8 @@ Commands:
     selftest      run the bundled corpus
 
 Exit codes: 0 success, 1 selftest failure, 2 parse/usage error,
-3 geometric inconsistency, 4 internal invariant violation.
+3 geometric inconsistency, 4 internal invariant violation (the two degree
+routes, or the random draws of the localized route, disagree).
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import json
 import sys
 from pathlib import Path
 
-from .alexinv import InvariantReport, compute_invariants
+from .alexinv import InvariantReport, SpecializationError, compute_invariants
 from .arrangements import (
     ArrangementError,
     ClassLabel,
@@ -397,6 +398,9 @@ def main(argv=None) -> int:
     except CliFailure as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code
+    except SpecializationError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -1,6 +1,6 @@
-"""Exact commutative-algebra kernel: Laurent polynomials, integer normal
-forms, rational-function coefficients, and diagonalization over the
-univariate PID they generate."""
+"""Commutative-algebra kernel: Laurent polynomials, integer normal forms,
+rational-function coefficients and diagonalization over the univariate PID
+they generate, and diagonalization over F_p[t^{±1}] at specialized points."""
 
 from .laurent import (
     LaurentPolynomial,
@@ -14,6 +14,12 @@ from .matrices import (
     Matrix,
     iter_minors,
     smith_normal_form_int,
+)
+from .modp import (
+    PRIME,
+    ModPoly,
+    diagonalize_mod_p,
+    specialize,
 )
 from .ratfunc import (
     RationalFunction,
@@ -32,6 +38,10 @@ __all__ = [
     "Matrix",
     "iter_minors",
     "smith_normal_form_int",
+    "PRIME",
+    "ModPoly",
+    "diagonalize_mod_p",
+    "specialize",
     "RationalFunction",
     "UniPoly",
     "diagonalize_over_pid",

@@ -18,6 +18,8 @@ from __future__ import annotations
 from math import gcd as _int_gcd
 from typing import Iterable, Mapping
 
+from .modp import PRIME, ModPoly, specialize
+
 
 class LaurentPolynomial:
     """Immutable sparse Laurent polynomial with integer coefficients."""
@@ -488,59 +490,39 @@ def _subresultant_prs(a: dict, b: dict, num_vars: int) -> dict:
         # delta == 0 leaves h unchanged
 
 
-_CERT_PRIME = (1 << 61) - 1
-
-
-def _specialized_coeffs(p: LaurentPolynomial, main: int, points: list) -> list | None:
-    """Coefficients of p(main variable) after evaluating the other variables
-    at points, modulo the certificate prime.  None when the top coefficient
-    collapses (the certificate would be unsound)."""
-    deg = p.max_degree_in(main)
-    out = [0] * (deg + 1)
-    for e, c in p.terms.items():
-        val = c % _CERT_PRIME
-        for i, x in enumerate(e):
-            if i == main or x == 0:
-                continue
-            val = val * pow(points[i], x, _CERT_PRIME) % _CERT_PRIME
-        out[e[main]] = (out[e[main]] + val) % _CERT_PRIME
-    if out[deg] == 0:
+def _specialized_coeffs(p: LaurentPolynomial, main: int, points: list) -> ModPoly | None:
+    """p as a polynomial in the main variable over F_p, the other variables
+    evaluated at points.  None when the top coefficient collapses (the
+    certificate would be unsound)."""
+    psi = [int(i == main) for i in range(p.num_vars)]
+    image = specialize(p, psi, points[:main] + [1] + points[main + 1 :])
+    if not image or image.low + image.spread() != p.max_degree_in(main):
         return None
-    return out
+    return image
 
 
-def _mod_uni_gcd_degree(a: list, b: list) -> int:
-    """Degree of gcd of two univariate polynomials over the prime field."""
-    P = _CERT_PRIME
+def _mod_uni_gcd_degree(a: ModPoly, b: ModPoly) -> int:
+    """Degree of the gcd of two nonzero ordinary polynomials over F_p.
 
-    def strip(x):
-        while x and x[-1] == 0:
-            x.pop()
-        return x
-
-    a, b = strip(list(a)), strip(list(b))
+    The Euclidean algorithm in F_p[t^{±1}] finds the gcd up to a power of
+    t; the common power of t is min(a.low, b.low).
+    """
+    common = min(a.low, b.low)
     while b:
-        inv = pow(b[-1], P - 2, P)
-        while len(a) >= len(b):
-            f = a[-1] * inv % P
-            off = len(a) - len(b)
-            for i, c in enumerate(b):
-                a[off + i] = (a[off + i] - f * c) % P
-            strip(a)
-            if not a:
-                break
-        a, b = b, a
-    return len(a) - 1
+        a, b = b, a.divmod_by(b)[1]
+    return common + a.spread()
 
 
 def _gcd_free_of(p: LaurentPolynomial, q: LaurentPolynomial, main: int) -> bool:
     """Sound one-sided test: True proves gcd(p, q) has degree 0 in variable
     main.  Specializing the other variables maps the true gcd onto a divisor
     of the specialized gcd as long as the leading coefficient survives, so a
-    degree-zero specialized gcd is a certificate."""
+    degree-zero specialized gcd is a certificate.  The degree is the
+    ordinary one, powers of the main variable included: the constant
+    coefficient may collapse, so a spread-zero Laurent gcd proves nothing."""
     for salt in range(4):
         points = [
-            pow(5, 7 * i + salt + 1, _CERT_PRIME) % 1000003 + 2
+            pow(5, 7 * i + salt + 1, PRIME) % 1000003 + 2
             for i in range(p.num_vars)
         ]
         ca = _specialized_coeffs(p, main, points)

@@ -1,4 +1,4 @@
-"""Exact matrices: one matrix type for Z, Z[H] and K[t^±1] with one
+"""Matrices: one matrix type for Z, Z[H], K[t^±1] and F_p[t^±1] with one
 determinant, one Euclidean elimination kernel, the integer Smith normal form
 built on it, and the minor enumerator."""
 
@@ -9,10 +9,11 @@ from typing import Iterable, Sequence
 
 
 class Matrix:
-    """Dense matrix over a commutative ring: Z, Z[H] or K[t^±1].
+    """Dense matrix over a commutative ring: Z, Z[H], K[t^±1] or F_p[t^±1].
 
-    Entries are ints, LaurentPolynomials or UniPolys; they test as zero by
-    truth value, as in `_eliminate`.
+    Entries are ints, LaurentPolynomials, UniPolys (over K = Q(u)) or
+    ModPolys (over F_p); they test as zero by truth value, as in
+    `_eliminate`.
     """
 
     __slots__ = ("rows", "cols", "entries")

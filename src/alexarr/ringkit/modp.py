@@ -1,0 +1,150 @@
+"""Laurent polynomials in one variable over the prime field F_p, p = 2^61 - 1.
+
+F_p[t^{±1}] is a principal ideal domain with the t-spread as a Euclidean
+function, so the one elimination kernel diagonalizes matrices over it.  A
+multivariate integer Laurent polynomial reaches it by specialization:
+t_i -> a_i * t^(psi_i) with the a_i in F_p^*.  The localized degree route
+specializes the Fox matrix at random points; the multivariate gcd
+specializes at fixed points for its coprimality certificate.
+"""
+
+from __future__ import annotations
+
+from typing import TYPE_CHECKING, Sequence
+
+from .matrices import Matrix, _eliminate
+
+if TYPE_CHECKING:  # laurent.py imports this module for its gcd certificate
+    from .laurent import LaurentPolynomial
+
+PRIME = (1 << 61) - 1
+
+
+class ModPoly:
+    """Laurent polynomial in t over F_p.
+
+    coeffs[i] is the coefficient of t^(low + i), an int in [0, p); the first
+    and last entries are nonzero unless the polynomial is zero (empty
+    coeffs, low == 0).  The constructor trims zeros but does not reduce.
+    """
+
+    __slots__ = ("low", "coeffs")
+
+    def __init__(self, coeffs: list, low: int = 0):
+        start, end = 0, len(coeffs)
+        while start < end and not coeffs[start]:
+            start += 1
+        while end > start and not coeffs[end - 1]:
+            end -= 1
+        if start == end:
+            coeffs, low = [], 0
+        elif start or end < len(coeffs):
+            coeffs, low = coeffs[start:end], low + start
+        self.low = low
+        self.coeffs = coeffs
+
+    def __bool__(self) -> bool:
+        return bool(self.coeffs)
+
+    def spread(self) -> int:
+        """Top exponent minus bottom exponent."""
+        if not self.coeffs:
+            raise ValueError("degree of the zero polynomial is undefined")
+        return len(self.coeffs) - 1
+
+    def _plus(self, other: "ModPoly", sign: int) -> "ModPoly":
+        a, b = self.coeffs, other.coeffs
+        if not b:
+            return self
+        lo = min(self.low, other.low)
+        out = [0] * (max(self.low + len(a), other.low + len(b)) - lo)
+        out[self.low - lo : self.low - lo + len(a)] = a
+        off = other.low - lo
+        for i, c in enumerate(b):
+            out[off + i] = (out[off + i] + sign * c) % PRIME
+        return ModPoly(out, lo)
+
+    def __add__(self, other: "ModPoly") -> "ModPoly":
+        return self._plus(other, 1)
+
+    def __sub__(self, other: "ModPoly") -> "ModPoly":
+        return self._plus(other, -1)
+
+    def __mul__(self, other: "ModPoly") -> "ModPoly":
+        a, b = self.coeffs, other.coeffs
+        if not a or not b:
+            return ModPoly([])
+        out = [0] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            if x:
+                for j, y in enumerate(b):
+                    out[i + j] += x * y
+        return ModPoly([c % PRIME for c in out], self.low + other.low)
+
+    def __eq__(self, other):
+        if not isinstance(other, ModPoly):
+            return NotImplemented
+        return self.low == other.low and self.coeffs == other.coeffs
+
+    def divmod_by(self, other: "ModPoly") -> tuple:
+        """Division with remainder in the Laurent sense.
+
+        Returns (q, r) with self == q*other + r and either r == 0 or the
+        spread of r strictly less than the spread of other.
+        """
+        b = other.coeffs
+        if not b:
+            raise ZeroDivisionError("division by zero polynomial")
+        rem = list(self.coeffs)
+        db = len(b) - 1
+        inv = pow(b[-1], -1, PRIME)
+        q = [0] * max(len(rem) - db, 0)
+        while len(rem) > db:
+            off = len(rem) - 1 - db
+            f = rem[-1] * inv % PRIME
+            q[off] = f
+            for j, y in enumerate(b):
+                rem[off + j] = (rem[off + j] - f * y) % PRIME
+            while rem and not rem[-1]:
+                rem.pop()
+        return ModPoly(q, self.low - other.low), ModPoly(rem, self.low)
+
+    def __repr__(self):
+        return f"ModPoly({self.coeffs!r}, low={self.low})"
+
+
+def specialize(p: LaurentPolynomial, psi: Sequence[int], points: Sequence[int]) -> ModPoly:
+    """The image of p under t_i -> points[i] * t^(psi[i]) in F_p[t^{±1}].
+
+    Negative exponents take modular inverses, so the points must be
+    nonzero mod p.
+    """
+    buckets: dict = {}
+    for e, c in p.terms.items():
+        val = c
+        deg = 0
+        for x, a, w in zip(e, points, psi):
+            if x:
+                deg += w * x
+                if a != 1:
+                    val = val * pow(a, x, PRIME) % PRIME
+        buckets[deg] = (buckets.get(deg, 0) + val) % PRIME
+    if not buckets:
+        return ModPoly([])
+    lo = min(buckets)
+    out = [0] * (max(buckets) - lo + 1)
+    for deg, val in buckets.items():
+        out[deg - lo] = val
+    return ModPoly(out, lo)
+
+
+def diagonalize_mod_p(M: Matrix) -> tuple:
+    """Non-unit diagonal entries and free rank of the module presented by M
+    over F_p[t^{±1}], as `diagonalize_over_pid` returns them over K[t^{±1}].
+
+    The non-unit entries are left as the kernel leaves them, not monic:
+    only their spreads, which units do not change, are used.
+    """
+    a = [row[:] for row in M.entries]
+    rank = _eliminate(a, M.rows, M.cols, ModPoly.spread, ModPoly.divmod_by)
+    return [a[t][t] for t in range(rank) if a[t][t].spread() > 0], M.rows - rank

@@ -1,6 +1,7 @@
 """Bundled verification corpus: family and swept presentations with known
 invariants, the curve-at-infinity bound table, and the two-route degree
-comparison across everything.
+comparison across everything, with the modular localized route checked
+against its exact oracle on every corpus case.
 
 The corpus doubles as the data source for the acceptance test suite and
 for the ``selftest`` CLI command.
@@ -15,8 +16,10 @@ from typing import Callable, Iterable
 from .alexinv import (
     DELTA0_INFINITE,
     Delta0,
+    InconsistentPresentationError,
     compute_invariants,
     delta0_via_pid,
+    delta0_via_pid_exact,
 )
 from .arrangements import (
     classify_arrangement,
@@ -216,9 +219,17 @@ def check_case(case: CorpusCase) -> CheckResult:
     try:
         pres, wire_order = case.present()
         report = compute_invariants(pres, routes="both")
+        try:
+            exact = delta0_via_pid_exact(pres)
+        except InconsistentPresentationError:
+            exact = None
     except Exception as exc:  # a corpus case must never raise
         return CheckResult(case.name, False, f"exception: {exc}", time.time() - t0)
     problems = []
+    if report.delta0_pid_route != exact:
+        problems.append(
+            f"modular localized route {report.delta0_pid_route} != exact {exact}"
+        )
     if not report.route_agreement:
         problems.append(
             f"route disagreement: degree={report.delta0_degree_route} "

@@ -1,5 +1,8 @@
 """Elementary ideals, Alexander polynomials, and the two degree routes."""
 
+import random
+from math import gcd
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -8,14 +11,21 @@ from alexarr.alexinv import (
     DELTA0_INFINITE,
     Delta0,
     InconsistentPresentationError,
+    SpecializationError,
     alexander_polynomial,
     characteristic_codim_flag,
     compute_invariants,
     delta0_via_degree,
     delta0_via_pid,
+    delta0_via_pid_exact,
     elementary_ideal_gens,
 )
-from alexarr.arrangements import family_arrangement, family_presentation, wiring_presentation
+from alexarr.arrangements import (
+    Line,
+    family_arrangement,
+    family_presentation,
+    wiring_presentation,
+)
 from alexarr.foxcalc import alexander_matrix
 from alexarr.groups import Word, parse_presentation, presentation
 from alexarr.ringkit import LaurentPolynomial, degree_spread, laurent_gcd, unit_normalize
@@ -196,6 +206,78 @@ def test_pid_route_flags_wrong_deficiency():
     fake = AlexanderMatrix(Matrix([[LaurentPolynomial.one(1)]]), p, ab)
     with pytest.raises(InconsistentPresentationError):
         delta0_via_pid(fake)
+
+
+def test_exact_pid_route_values():
+    assert delta0_via_pid_exact(family_presentation("pencil", 3)) == Delta0.of(3)
+    assert delta0_via_pid_exact(family_presentation("parallel", 2)) == DELTA0_INFINITE
+    with pytest.raises(InconsistentPresentationError):
+        delta0_via_pid_exact(parse_presentation("gens: a\nrel: a\n"))
+
+
+# x=0, y=0, x=1, x=y, y=1 as (a, b, c) for a*x + b*y = c
+DECONED_A3 = [(1, 0, 0), (0, 1, 0), (1, 0, 1), (1, -1, 0), (0, 1, 1)]
+A3_NODAL = DECONED_A3 + [(1, 3, 5), (3, 1, 7)]
+
+
+def random_lines(rng, m):
+    """m distinct lines with small integer coefficients."""
+    seen = set()
+    while len(seen) < m:
+        a, b, c = rng.randint(-3, 3), rng.randint(-3, 3), rng.randint(-5, 5)
+        if a or b:
+            g = gcd(a, b, c) * (1 if (a or b) > 0 else -1)
+            seen.add((a // g, b // g, c // g))
+    return [Line.of(*abc) for abc in sorted(seen)]
+
+
+def test_modular_pid_route_matches_degree_route_on_families():
+    for family, ms in (("pencil", range(3, 10)), ("near-pencil", range(3, 10)),
+                       ("generic", range(3, 8))):
+        for m in ms:
+            A = alexander_matrix(family_presentation(family, m))
+            assert delta0_via_pid(A) == delta0_via_degree(A), (family, m)
+
+
+def test_modular_pid_route_matches_degree_route_on_a3_inputs():
+    for lines in (DECONED_A3, A3_NODAL):
+        A = alexander_matrix(wiring_presentation([Line.of(*abc) for abc in lines])[0])
+        assert delta0_via_pid(A) == delta0_via_degree(A) == Delta0.of(0)
+
+
+def test_modular_pid_route_matches_degree_route_on_random_arrangements():
+    # 3-5 lines: the degree route takes up to a second on six lines and up to
+    # tens of seconds on seven
+    rng = random.Random(2024)
+    seen = set()
+    for _ in range(200):
+        A = alexander_matrix(wiring_presentation(random_lines(rng, rng.randint(3, 5)))[0])
+        d = delta0_via_degree(A)
+        assert delta0_via_pid(A) == d
+        seen.add(d)
+    assert len(seen) >= 3
+
+
+def test_modular_pid_route_draws_fresh_points(monkeypatch):
+    drawn = []
+    original = alexinv.specialize
+
+    def recording(p, psi, points):
+        drawn.append(tuple(points))
+        return original(p, psi, points)
+
+    monkeypatch.setattr(alexinv, "specialize", recording)
+    delta0_via_pid(family_presentation("pencil", 3), distinguished=1)
+    points = set(drawn)
+    assert len(points) == alexinv.DRAWS
+    assert all(pt[1] == 1 and 0 < pt[0] < alexinv.PRIME for pt in points)
+
+
+def test_disagreeing_draws_stop_the_modular_route(monkeypatch):
+    answers = iter([([], 1), ([], 2), ([], 1)])
+    monkeypatch.setattr(alexinv, "diagonalize_mod_p", lambda M: next(answers))
+    with pytest.raises(SpecializationError, match="localized route"):
+        delta0_via_pid(family_presentation("pencil", 3))
 
 
 def test_route_equivalence_across_corpus():

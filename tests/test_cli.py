@@ -10,6 +10,7 @@ from alexarr.alexinv import Delta0
 PENCIL3 = "line: 0 1 0\nline: 1 -1 0\nline: 1 1 0\n"
 PARALLEL2 = "line: 0 1 0\nline: 0 1 1\n"
 NEAR_PENCIL4 = "line: 0 1 0\nline: 0 1 1\nline: 0 1 2\nline: 1 0 0\n"
+DECONED_A3 = "line: 1 0 0\nline: 0 1 0\nline: 1 0 1\nline: 0 1 1\nline: 1 -1 0\n"
 
 
 def run(capsys, *argv):
@@ -229,6 +230,27 @@ def test_route_disagreement_exit_4(tmp_path, monkeypatch, capsys):
     f = tmp_path / "hopf.pres"
     f.write_text("gens: a b\nrel: a b a^-1 b^-1\n")
     assert main(["invariants", str(f)]) == 4
+
+
+def test_analyze_deconed_a3_with_default_routes(tmp_path, capsys):
+    f = tmp_path / "a3.txt"
+    f.write_text(DECONED_A3)
+    code, doc = run_json(capsys, "analyze", str(f))
+    assert code == 0
+    assert doc["invariants"]["delta0"] == 0
+    assert doc["invariants"]["routes"] == {"degree": 0, "pid": 0}
+
+
+def test_disagreeing_draws_exit_4(tmp_path, monkeypatch, capsys):
+    # a bad draw has probability below 2^-40 here, so fake one
+    import alexarr.alexinv as alexinv
+
+    answers = iter([([], 1), ([], 1), ([], 2)])
+    monkeypatch.setattr(alexinv, "diagonalize_mod_p", lambda M: next(answers))
+    f = tmp_path / "hopf.pres"
+    f.write_text("gens: a b\nrel: a b a^-1 b^-1\n")
+    assert main(["invariants", str(f)]) == 4
+    assert "localized route" in capsys.readouterr().err
 
 
 def test_selftest_corrupted_corpus_entry_fails_by_name():

@@ -212,6 +212,15 @@ def test_gcd_ignores_monomial_units():
     assert laurent_gcd([p, shifted]) == unit_normalize(p)
 
 
+def test_gcd_certificate_counts_powers_of_the_main_variable():
+    # the coprimality certificate evaluates t1 at 7 first; there the common
+    # factor t2 + t1 - 7 collapses to the monomial t2, which a Laurent gcd
+    # over F_p would treat as a unit
+    t1, t2 = var(0), var(1)
+    g = t2 + t1 - 7
+    assert laurent_gcd([g * (t2 + 1), g * (t2 + 2)]) == unit_normalize(g)
+
+
 def test_gcd_divides_every_input_randomized():
     rng = random.Random(23)
     for _ in range(200):

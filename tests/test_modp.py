@@ -1,0 +1,108 @@
+"""Laurent polynomials over F_p and the localized route at random points."""
+
+import random
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from alexarr.ringkit import (
+    PRIME,
+    LaurentPolynomial,
+    Matrix,
+    ModPoly,
+    degree_spread,
+    diagonalize_mod_p,
+    iter_minors,
+    laurent_gcd,
+    specialize,
+)
+from test_ratfunc import _laurent_tu
+
+
+def random_modpoly(rng, max_len=5):
+    coeffs = [rng.choice([0, 1, 2, PRIME - 1, rng.randrange(PRIME)])
+              for _ in range(rng.randint(0, max_len))]
+    return ModPoly(coeffs, rng.randint(-3, 3))
+
+
+def test_constructor_trims_both_ends():
+    p = ModPoly([0, 0, 5, 0, 7, 0], low=-1)
+    assert (p.low, p.coeffs) == (1, [5, 0, 7])
+    assert p.spread() == 2
+    z = ModPoly([0, 0], low=4)
+    assert not z and (z.low, z.coeffs) == (0, [])
+    with pytest.raises(ValueError):
+        z.spread()
+
+
+def test_divmod_by_is_a_laurent_division_with_remainder():
+    rng = random.Random(11)
+    checked = 0
+    for _ in range(500):
+        a, b = random_modpoly(rng, 7), random_modpoly(rng)
+        if not b:
+            with pytest.raises(ZeroDivisionError):
+                a.divmod_by(b)
+            continue
+        q, r = a.divmod_by(b)
+        assert a == q * b + r
+        assert not r or r.spread() < b.spread()
+        checked += 1
+    assert checked > 300
+
+
+def test_ring_operations_agree_with_specialization():
+    # specialization is a ring homomorphism Z[t1^±1, t2^±1] -> F_p[t^±1]
+    rng = random.Random(5)
+    for _ in range(200):
+        p, q = (
+            LaurentPolynomial(2, {(rng.randint(-2, 2), rng.randint(-2, 2)): rng.randint(-9, 9)
+                                  for _ in range(rng.randint(0, 4))})
+            for _ in range(2)
+        )
+        points = [1, rng.randrange(1, PRIME)]
+        sp, sq = specialize(p, [1, 1], points), specialize(q, [1, 1], points)
+        assert specialize(p + q, [1, 1], points) == sp + sq
+        assert specialize(p - q, [1, 1], points) == sp - sq
+        assert specialize(p * q, [1, 1], points) == sp * sq
+
+
+def test_specialize_maps_terms_to_total_degree_with_inverses():
+    # 3 * t1 * t2^-2 - 1 at u = (1, 2): 3 * 2^-2 * t^-1 - 1
+    p = LaurentPolynomial(2, {(1, -2): 3, (0, 0): -1})
+    image = specialize(p, [1, 1], [1, 2])
+    assert image.low == -1
+    assert image.coeffs == [3 * pow(4, -1, PRIME) % PRIME, PRIME - 1]
+
+
+def test_diagonalize_mod_p_reads_rank_and_degree():
+    t = ModPoly([0, 1])
+    one = ModPoly([1])
+    z = ModPoly([])
+    factors, free = diagonalize_mod_p(Matrix([[t - one, z], [z, t + one], [z, z]]))
+    assert free == 1
+    assert sum(f.spread() for f in factors) == 2
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_modular_localization_matches_minor_gcd(data):
+    # matrices over Z[t1, t2] sent to F_p[t^±1] by t1 -> t, t2 -> u t at a
+    # random u: the free rank and torsion degree are those of the minors'
+    # gcd over Z[t1, t2] unless u hits the bad set: r <= 4, u-degree d <= 2
+    # and t-spread w <= 4 give at most D = r d (3 + 2 r w) = 280 bad points
+    # of the p - 1
+    rows = data.draw(st.integers(1, 4))
+    cols = data.draw(st.integers(1, 4))
+    lint = [[data.draw(_laurent_tu) for _ in range(cols)] for _ in range(rows)]
+    u = random.Random(data.draw(st.integers(0, 10 ** 9))).randrange(1, PRIME)
+    image = Matrix([[specialize(p, [1, 1], [1, u]) for p in row] for row in lint], rows, cols)
+    factors, free = diagonalize_mod_p(image)
+    rank = rows - free
+    lm = Matrix(lint, rows, cols)
+    if rank < min(rows, cols):
+        assert all(not minor for minor in iter_minors(lm, rank + 1))
+    if rank:
+        g = laurent_gcd(iter_minors(lm, rank))
+        assert g
+        assert sum(f.spread() for f in factors) == degree_spread(g)
