@@ -287,13 +287,11 @@ class InvariantReport:
     s: int
     num_gens: int
     num_relators: int
-    provenance: str = ""
     warnings: tuple = field(default_factory=tuple)
     notes: tuple = field(default_factory=tuple)
 
 
-def compute_invariants(p: Presentation, routes: str = "both",
-                       provenance: str = "") -> InvariantReport:
+def compute_invariants(p: Presentation, routes: str = "both") -> InvariantReport:
     """Run the full invariant pipeline on a presentation.
 
     routes: "degree", "pid", or "both".  With "both" the two independent
@@ -323,15 +321,8 @@ def compute_invariants(p: Presentation, routes: str = "both",
         except InconsistentPresentationError as exc:
             warnings.append(str(exc))
 
-    if routes == "both":
-        agreement = d_pid is not None and d_degree == d_pid
-        chosen = d_degree
-    elif routes == "degree":
-        agreement = True
-        chosen = d_degree
-    else:
-        agreement = d_pid is not None
-        chosen = d_pid
+    chosen = d_pid if routes == "pid" else d_degree
+    agreement = routes == "degree" or (d_pid is not None and chosen == d_pid)
 
     codim = characteristic_codim_flag(delta)
     if codim:
@@ -347,7 +338,7 @@ def compute_invariants(p: Presentation, routes: str = "both",
 
     return InvariantReport(
         alexander_poly=unit_normalize(delta),
-        delta0=chosen if chosen is not None else d_pid,
+        delta0=chosen,
         delta0_degree_route=d_degree,
         delta0_pid_route=d_pid,
         route_agreement=agreement,
@@ -355,7 +346,6 @@ def compute_invariants(p: Presentation, routes: str = "both",
         s=ab.s,
         num_gens=p.num_gens,
         num_relators=p.num_relators,
-        provenance=provenance,
         warnings=tuple(warnings),
         notes=tuple(notes),
     )

@@ -404,7 +404,15 @@ FAMILY_NEAR_PENCIL = "near-pencil"
 FAMILY_PARALLEL = "parallel"
 FAMILY_GENERIC = "generic"
 
-FAMILIES = (FAMILY_PENCIL, FAMILY_NEAR_PENCIL, FAMILY_PARALLEL, FAMILY_GENERIC)
+_FAMILY_MIN_M = {FAMILY_PENCIL: 3, FAMILY_NEAR_PENCIL: 2, FAMILY_PARALLEL: 1, FAMILY_GENERIC: 1}
+FAMILIES = tuple(_FAMILY_MIN_M)
+
+
+def _check_family(family: str, m: int) -> None:
+    if family not in _FAMILY_MIN_M:
+        raise ArrangementError(f"unknown family {family!r}; choose from {FAMILIES}")
+    if m < _FAMILY_MIN_M[family]:
+        raise ArrangementError(f"{family} family needs m >= {_FAMILY_MIN_M[family]}")
 
 
 def family_presentation(family: str, m: int) -> Presentation:
@@ -415,60 +423,40 @@ def family_presentation(family: str, m: int) -> Presentation:
     parallel(m >= 1):    free group, no relations.
     generic(m >= 1):     all meridians commute.
     """
+    _check_family(family, m)
     names = [f"x{i + 1}" for i in range(m)]
     if family == FAMILY_PENCIL:
-        if m < 3:
-            raise ArrangementError("pencil family needs m >= 3")
         full = Word([i for i in range(m, 0, -1)])
         rels = [Word.generator(i).commutator(full) for i in range(m - 1)]
     elif family == FAMILY_NEAR_PENCIL:
-        if m < 2:
-            raise ArrangementError("near-pencil family needs m >= 2")
         last = Word.generator(m - 1)
         rels = [Word.generator(i).commutator(last) for i in range(m - 1)]
     elif family == FAMILY_PARALLEL:
-        if m < 1:
-            raise ArrangementError("parallel family needs m >= 1")
         rels = []
-    elif family == FAMILY_GENERIC:
-        if m < 1:
-            raise ArrangementError("generic family needs m >= 1")
+    else:
         rels = [
             Word.generator(i).commutator(Word.generator(j))
             for i in range(m)
             for j in range(i + 1, m)
         ]
-    else:
-        raise ArrangementError(f"unknown family {family!r}; choose from {FAMILIES}")
     return presentation(names, rels)
 
 
 def family_arrangement(family: str, m: int) -> list:
     """Concrete rational arrangements realizing the standard families."""
+    _check_family(family, m)
     if family == FAMILY_PENCIL:
-        if m < 3:
-            raise ArrangementError("pencil family needs m >= 3")
         # m distinct slopes through the origin
         return [Line.of(Fraction(i), 1, 0) for i in range(m)]
     if family == FAMILY_NEAR_PENCIL:
-        if m < 2:
-            raise ArrangementError("near-pencil family needs m >= 2")
         out = [Line.of(0, 1, i) for i in range(m - 1)]  # y = 0, 1, ..., m-2
         out.append(Line.of(1, 0, 0))                    # x = 0
         return out
     if family == FAMILY_PARALLEL:
-        if m < 1:
-            raise ArrangementError("parallel family needs m >= 1")
         return [Line.of(0, 1, i) for i in range(m)]
-    if family == FAMILY_GENERIC:
-        if m < 1:
-            raise ArrangementError("generic family needs m >= 1")
-        # tangent lines to the parabola y = x^2/2 at x = 1, 2, ...: any two
-        # meet, no three concurrent, slopes pairwise distinct
-        return [
-            Line.of(Fraction(i), -1, Fraction(i * i, 2)) for i in range(1, m + 1)
-        ]
-    raise ArrangementError(f"unknown family {family!r}; choose from {FAMILIES}")
+    # generic: tangent lines to the parabola y = x^2/2 at x = 1, 2, ...: any
+    # two meet, no three concurrent, slopes pairwise distinct
+    return [Line.of(Fraction(i), -1, Fraction(i * i, 2)) for i in range(1, m + 1)]
 
 
 # ----------------------------------------------------------------------

@@ -91,8 +91,22 @@ def _bounds_json(data: IntersectionData, label: ClassLabel) -> object:
     }
 
 
-def _invariants_json(report: InvariantReport) -> dict:
-    return {
+def _emit(text: str, out: str | None) -> None:
+    """Write a report or a DSL text to --out, or else to standard output."""
+    if out:
+        Path(out).write_text(text, encoding="utf-8")
+    else:
+        sys.stdout.write(text)
+
+
+def _emit_json(doc: dict, out: str | None) -> None:
+    _emit(json.dumps(doc, indent=2, sort_keys=True) + "\n", out)
+
+
+def _emit_invariants(doc: dict, report: InvariantReport, args) -> None:
+    """Write doc with the invariants of report added; after writing, fail
+    with exit 4 if both routes ran and disagree."""
+    doc["invariants"] = {
         "s": report.s,
         "alexander_polynomial": report.alexander_poly.format(),
         "delta0": _delta0_json(report.delta0),
@@ -105,46 +119,51 @@ def _invariants_json(report: InvariantReport) -> dict:
         "generators": report.num_gens,
         "relators": report.num_relators,
     }
+    doc["warnings"] = list(report.warnings)
+    doc["notes"] = list(report.notes)
+    _emit_json(doc, args.out)
+    if args.route == "both" and not report.route_agreement:
+        raise CliFailure(EXIT_INTERNAL, "the two degree routes disagree")
 
 
-def _emit(doc: dict, out: str | None) -> None:
-    text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
-    if out:
-        Path(out).write_text(text, encoding="utf-8")
-    else:
-        sys.stdout.write(text)
+def _read(path: str) -> str:
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except OSError as exc:
+        raise CliFailure(EXIT_PARSE, f"cannot read {path}: {exc}") from None
 
 
-def _load_lines(args) -> tuple:
-    """Lines plus provenance from either a file or a --family request."""
+def _guard(code: int, fn, *args):
+    """fn(*args), with an input error it raises turned into exit `code`.
+
+    Callers name fn at the call, so a function replaced on this module (as
+    the benchmark's tracer does) is the one that runs.
+    """
+    try:
+        return fn(*args)
+    except (ArrangementError, PresentationError) as exc:
+        raise CliFailure(code, str(exc)) from None
+
+
+def _load_lines(args) -> list:
+    """The lines of the arrangement file, or of --family NAME --m N."""
     if args.family:
         if args.m is None:
             raise CliFailure(EXIT_PARSE, "--family requires --m")
-        try:
-            lines = family_arrangement(args.family, args.m)
-        except ArrangementError as exc:
-            raise CliFailure(EXIT_PARSE, str(exc)) from None
-        return lines, {"kind": "family", "family": args.family, "m": args.m}
+        return _guard(EXIT_PARSE, family_arrangement, args.family, args.m)
     if not args.path:
         raise CliFailure(EXIT_PARSE, "need an arrangement file or --family/--m")
-    try:
-        text = Path(args.path).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise CliFailure(EXIT_PARSE, f"cannot read {args.path}: {exc}") from None
-    try:
-        lines = parse_arrangement(text)
-    except ArrangementError as exc:
-        raise CliFailure(EXIT_PARSE, str(exc)) from None
-    return lines, {"kind": "arrangement-file", "path": args.path}
+    return _guard(EXIT_PARSE, parse_arrangement, _read(args.path))
 
 
 def cmd_analyze(args) -> int:
-    lines, provenance = _load_lines(args)
+    lines = _load_lines(args)
+    if args.family:
+        provenance = {"kind": "family", "family": args.family, "m": args.m}
+    else:
+        provenance = {"kind": "arrangement-file", "path": args.path}
     provenance["lines"] = [str(ln) for ln in lines]
-    try:
-        data = intersect_arrangement(lines)
-    except ArrangementError as exc:
-        raise CliFailure(EXIT_GEOMETRY, str(exc)) from None
+    data = _guard(EXIT_GEOMETRY, intersect_arrangement, lines)
     label = classify_arrangement(data)
     verdict = vanishing_and_infinite_verdicts(label, data)
     bounds_doc = _bounds_json(data, label)
@@ -165,10 +184,7 @@ def cmd_analyze(args) -> int:
         pres = family_presentation(family, data.m)
         pres_doc = {"source": "family", "family": family}
     else:
-        try:
-            pres, sweep = wiring_presentation(lines)
-        except ArrangementError as exc:
-            raise CliFailure(EXIT_GEOMETRY, str(exc)) from None
+        pres, sweep = _guard(EXIT_GEOMETRY, wiring_presentation, lines)
         pres_doc = {
             "source": "wiring",
             "shear": str(sweep.shear),
@@ -189,13 +205,8 @@ def cmd_analyze(args) -> int:
         "bounds": bounds_doc,
         "closed_form": _closed_form_json(verdict),
         "presentation": pres_doc,
-        "invariants": _invariants_json(report),
-        "warnings": list(report.warnings),
-        "notes": list(report.notes),
     }
-    _emit(doc, args.out)
-    if args.route == "both" and not report.route_agreement:
-        raise CliFailure(EXIT_INTERNAL, "the two degree routes disagree")
+    _emit_invariants(doc, report, args)
     if verdict is not None and report.delta0 is not None:
         want = "infinite" if verdict.value is None else verdict.value
         got = _delta0_json(report.delta0)
@@ -208,14 +219,7 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_invariants(args) -> int:
-    try:
-        text = Path(args.path).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise CliFailure(EXIT_PARSE, f"cannot read {args.path}: {exc}") from None
-    try:
-        pres = parse_presentation(text)
-    except PresentationError as exc:
-        raise CliFailure(EXIT_PARSE, str(exc)) from None
+    pres = _guard(EXIT_PARSE, parse_presentation, _read(args.path))
     report = compute_invariants(pres, routes=args.route)
     doc = {
         "schema": SCHEMA_VERSION,
@@ -224,13 +228,8 @@ def cmd_invariants(args) -> int:
             "path": args.path,
             "gens": list(pres.gens),
         },
-        "invariants": _invariants_json(report),
-        "warnings": list(report.warnings),
-        "notes": list(report.notes),
     }
-    _emit(doc, args.out)
-    if args.route == "both" and not report.route_agreement:
-        raise CliFailure(EXIT_INTERNAL, "the two degree routes disagree")
+    _emit_invariants(doc, report, args)
     return EXIT_OK
 
 
@@ -256,20 +255,11 @@ def _parse_curve_line(text: str) -> dict | None:
 
 
 def cmd_bounds(args) -> int:
-    try:
-        text = Path(args.path).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise CliFailure(EXIT_PARSE, f"cannot read {args.path}: {exc}") from None
-    try:
-        curve = _parse_curve_line(text)
-    except ArrangementError as exc:
-        raise CliFailure(EXIT_PARSE, str(exc)) from None
+    text = _read(args.path)
+    curve = _guard(EXIT_PARSE, _parse_curve_line, text)
     if curve is not None:
-        try:
-            flags = [True] * curve["tangents"] + [False] * (curve["r"] - curve["tangents"])
-            rep = curve_at_infinity_bound(curve["m"], curve["r"], flags)
-        except ArrangementError as exc:
-            raise CliFailure(EXIT_GEOMETRY, str(exc)) from None
+        flags = [True] * curve["tangents"] + [False] * (curve["r"] - curve["tangents"])
+        rep = _guard(EXIT_GEOMETRY, curve_at_infinity_bound, curve["m"], curve["r"], flags)
         doc = {
             "schema": SCHEMA_VERSION,
             "input": {"kind": "curve", **curve},
@@ -278,48 +268,28 @@ def cmd_bounds(args) -> int:
             "bound": rep.bound,
             "intermediate": rep.intermediate,
         }
-        _emit(doc, args.out)
-        return EXIT_OK
-    try:
-        lines = parse_arrangement(text)
-        data = intersect_arrangement(lines)
-    except ArrangementError as exc:
-        raise CliFailure(EXIT_GEOMETRY, str(exc)) from None
-    label = classify_arrangement(data)
-    doc = {
-        "schema": SCHEMA_VERSION,
-        "input": {"kind": "arrangement-file", "path": args.path, "m": data.m},
-        "classification": {"label": label.label, "essential": label.essential},
-        "closed_form": _closed_form_json(vanishing_and_infinite_verdicts(label, data)),
-        "bounds": _bounds_json(data, label),
-    }
-    _emit(doc, args.out)
+    else:
+        lines = _guard(EXIT_PARSE, parse_arrangement, text)
+        data = _guard(EXIT_GEOMETRY, intersect_arrangement, lines)
+        label = classify_arrangement(data)
+        doc = {
+            "schema": SCHEMA_VERSION,
+            "input": {"kind": "arrangement-file", "path": args.path, "m": data.m},
+            "classification": {"label": label.label, "essential": label.essential},
+            "closed_form": _closed_form_json(vanishing_and_infinite_verdicts(label, data)),
+            "bounds": _bounds_json(data, label),
+        }
+    _emit_json(doc, args.out)
     return EXIT_OK
 
 
 def cmd_presentation(args) -> int:
+    lines = _load_lines(args)  # under --family, this checks the family and --m
     if args.family:
-        if args.m is None:
-            raise CliFailure(EXIT_PARSE, "--family requires --m")
-        try:
-            pres = family_presentation(args.family, args.m)
-        except ArrangementError as exc:
-            raise CliFailure(EXIT_PARSE, str(exc)) from None
+        pres = family_presentation(args.family, args.m)
         header = f"# family: {args.family} m={args.m}\n"
     else:
-        if not args.path:
-            raise CliFailure(EXIT_PARSE, "need an arrangement file or --family/--m")
-        try:
-            text = Path(args.path).read_text(encoding="utf-8")
-            lines = parse_arrangement(text)
-        except OSError as exc:
-            raise CliFailure(EXIT_PARSE, f"cannot read {args.path}: {exc}") from None
-        except ArrangementError as exc:
-            raise CliFailure(EXIT_PARSE, str(exc)) from None
-        try:
-            pres, sweep = wiring_presentation(lines)
-        except ArrangementError as exc:
-            raise CliFailure(EXIT_GEOMETRY, str(exc)) from None
+        pres, sweep = _guard(EXIT_GEOMETRY, wiring_presentation, lines)
         header = (
             f"# swept arrangement: {args.path}\n"
             f"# shear: {sweep.shear}\n"
@@ -327,11 +297,7 @@ def cmd_presentation(args) -> int:
             + " ".join(str(i + 1) for i in sweep.wire_lines)
             + "\n"
         )
-    body = header + serialize_presentation(pres)
-    if args.out:
-        Path(args.out).write_text(body, encoding="utf-8")
-    else:
-        sys.stdout.write(body)
+    _emit(header + serialize_presentation(pres), args.out)
     return EXIT_OK
 
 

@@ -138,11 +138,6 @@ def check_fundamental_identity(w: Word, num_gens: int) -> bool:
 # abelianized matrix
 
 
-def word_monomial(w: Word, ab: AbelianizationData) -> LaurentPolynomial:
-    """Image of a word under the projection to Z[H]: a single monomial."""
-    return LaurentPolynomial.monomial(1, ab.word_image(w))
-
-
 def ring_image(el: GroupRingElement, ab: AbelianizationData) -> LaurentPolynomial:
     """Push a group ring element through the abelianization."""
     terms: dict = {}
@@ -184,7 +179,7 @@ class AlexanderMatrix:
         acc = LaurentPolynomial.zero(s)
         one = LaurentPolynomial.one(s)
         for i in range(self.rows):
-            gen_mono = word_monomial(Word.generator(i), self.ab)
+            gen_mono = LaurentPolynomial.monomial(1, self.ab.quotient_map[i])
             acc = acc + self.matrix.entries[i][j] * (gen_mono - one)
         return acc.is_zero()
 

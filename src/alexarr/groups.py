@@ -277,9 +277,6 @@ def abelianize(p: Presentation) -> AbelianizationData:
     """
     m = p.num_gens
     q = p.num_relators
-    if q == 0:
-        qmap = tuple(tuple(1 if i == j else 0 for j in range(m)) for i in range(m))
-        return AbelianizationData(m, qmap, False, (1,) * m, True)
     ex = Matrix([r.exponent_vector(m) for r in p.relators], q, m)
     d, _, v = smith_normal_form_int(ex)
     diag = d.diagonal()

@@ -168,7 +168,11 @@ def _eliminate(a: list, rows: int, cols: int, size, divide) -> int:
                 move_min_pivot(t)
                 continue
             # divisibility chain: the pivot must divide the whole trailing
-            # submatrix; folding an offending row in plants a remainder
+            # submatrix; folding an offending row in plants a remainder.  A
+            # pivot of size 0 is a unit in K[t^±1] and F_p[t^±1] (over Z the
+            # size is abs, never 0), so nothing can offend it.
+            if size(a[t][t]) == 0:
+                break
             offender = next(
                 (i for i in range(t + 1, rows) for j in range(t + 1, cols)
                  if a[i][j] and divide(a[i][j], a[t][t])[1]),

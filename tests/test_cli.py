@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from alexarr.cli import main
 from alexarr.selftest import CorpusCase, run_selftest
 from alexarr.alexinv import Delta0
@@ -88,17 +90,22 @@ def test_analyze_out_file(tmp_path, capsys):
     assert doc["invariants"]["delta0"] == 3
 
 
-def test_analyze_parse_error_exit_2(tmp_path, capsys):
+@pytest.mark.parametrize("command", ["analyze", "bounds", "presentation"])
+def test_analyze_parse_error_exit_2(tmp_path, capsys, command):
     f = tmp_path / "bad.txt"
     f.write_text("line: 1 2\n")
-    assert main(["analyze", str(f)]) == 2
-    assert main(["analyze", str(tmp_path / "missing.txt")]) == 2
+    assert main([command, str(f)]) == 2
+    assert main([command, str(tmp_path / "missing.txt")]) == 2
+    empty = tmp_path / "empty.txt"
+    empty.write_text("# no lines\n")
+    assert main([command, str(empty)]) == 2
 
 
-def test_analyze_geometric_error_exit_3(tmp_path, capsys):
+@pytest.mark.parametrize("command", ["analyze", "bounds", "presentation"])
+def test_analyze_geometric_error_exit_3(tmp_path, capsys, command):
     f = tmp_path / "dup.txt"
     f.write_text("line: 0 1 0\nline: 0 2 0\n")
-    assert main(["analyze", str(f)]) == 3
+    assert main([command, str(f)]) == 3
 
 
 def test_invariants_command(tmp_path, capsys):

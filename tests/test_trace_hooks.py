@@ -46,3 +46,22 @@ def test_traced_jobs_run(tracing, tmp_path, capsys):
     assert tracer.calls["alexinv.pid"] >= 2
     assert tracer.calls["ringkit.diagonalize"] >= 1
     assert tracer.counts["ringkit.diagonalize.torsion_degree"] == 3
+
+
+def test_cli_calls_reach_the_traced_names(tracing, tmp_path, capsys):
+    # the CLI must look the wrapped names up on its module at each call; a
+    # reference taken before the tracer patches them would zero these counts
+    cli = importlib.import_module("alexarr.cli")
+    arr = tmp_path / "nodal4.txt"
+    arr.write_text("line: 0 1 0\nline: 1 -1 0\nline: 1 1 0\nline: 2 -1 -1\n")
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        for command in ("analyze", "bounds", "presentation"):
+            out = tmp_path / f"{command}.out"
+            assert cli.main([command, str(arr), "--out", str(out)]) == 0
+    finally:
+        tracer.uninstall()
+    assert tracer.calls["arrangements.intersect"] == 2
+    assert tracer.calls["arrangements.classify"] == 6
+    assert tracer.calls["arrangements.sweep"] == 2
