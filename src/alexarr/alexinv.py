@@ -19,7 +19,9 @@ Each quotient is exact: Z[H] is a UFD, and at every prime the minimum over
 k of the valuations of det A[k^, S] is that of det A[i^, S] * g / (x_i - 1).
 This divides the enumeration by m.  When every x_k = 1 (H trivial) the
 formula says nothing, and all minors of size m - 1 are enumerated.  The
-full enumeration survives only as the oracle in the tests.
+full enumeration survives only as the oracle in the tests.  The gcd stops
+at the first unit, and `iter_minors` visits the column sets in a spread
+order, so an input with Delta = 1 stops after a few minors.
 
 Route two localizes: every variable is rewritten as u_i * t (u_1 = 1), and
 the module is diagonalized over the PID K[t^{±1}], K the rational-function

@@ -5,6 +5,7 @@ built on it, and the minor enumerator."""
 from __future__ import annotations
 
 from itertools import combinations
+from math import comb, gcd
 from typing import Iterable, Sequence
 
 
@@ -209,17 +210,52 @@ def smith_normal_form_int(M: Matrix) -> tuple:
     )
 
 
+def _spread_subsets(n: int, k: int):
+    """Every k-subset of range(n), once each, as ascending tuples.
+
+    Index j = 0, 1, ..., N - 1 (N = C(n, k)) visits rank (a*j) mod N, with
+    a = round(N/phi) raised to the first integer coprime to N, so the walk
+    is a bijection and consecutive subsets lie far apart in colex order.
+    Each rank is unranked lazily in the combinatorial number system: the
+    subset c_1 < ... < c_k with rank = C(c_1, 1) + ... + C(c_k, k).
+    """
+    binom = [[comb(c, i) for i in range(k + 1)] for c in range(n)]
+    total = comb(n, k)
+    step = round(total * (5 ** 0.5 - 1) / 2)
+    while gcd(step, total) != 1:
+        step += 1
+    rank = 0
+    for _ in range(total):
+        r, c = rank, n - 1
+        subset = [0] * k
+        for i in range(k, 0, -1):
+            while binom[c][i] > r:
+                c -= 1
+            subset[i - 1] = c
+            r -= binom[c][i]
+            c -= 1
+        yield tuple(subset)
+        rank = (rank + step) % total
+
+
 def iter_minors(M: Matrix, k: int):
     """A lazy iterator over all k x k minor determinants of M.
 
-    Deterministic order: row subsets lexicographic, then column subsets
-    lexicographic.  Values are plain subdeterminants (no cofactor signs).
-    An out-of-range k raises ValueError at the call, not on the first next.
+    Deterministic order: row subsets lexicographic; for each, the column
+    subsets in a fixed spread order (`_spread_subsets`), so that subsets
+    visited one after another share few columns.  The degree route folds
+    the minors of one row subset into `laurent_gcd`, which stops at the
+    first unit; adjacent lexicographic column subsets share k - 1 columns
+    and so common factors, which keep the running gcd a nonunit for
+    thousands of minors.  The gcd of the family does not depend on the
+    order.  Values are plain subdeterminants, columns ascending (no
+    cofactor signs).  An out-of-range k raises ValueError at the call, not
+    on the first next.
     """
     if not 0 < k <= min(M.rows, M.cols):
         raise ValueError(f"minor size {k} out of range for {M.rows}x{M.cols} matrix")
     return (
         M.submatrix(ri, ci).determinant()
         for ri in combinations(range(M.rows), k)
-        for ci in combinations(range(M.cols), k)
+        for ci in _spread_subsets(M.cols, k)
     )

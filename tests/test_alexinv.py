@@ -24,6 +24,7 @@ from alexarr.arrangements import (
     Line,
     family_arrangement,
     family_presentation,
+    intersect_arrangement,
     wiring_presentation,
 )
 from alexarr.foxcalc import alexander_matrix
@@ -233,7 +234,7 @@ def random_lines(rng, m):
 
 def test_modular_pid_route_matches_degree_route_on_families():
     for family, ms in (("pencil", range(3, 10)), ("near-pencil", range(3, 10)),
-                       ("generic", range(3, 8))):
+                       ("generic", range(3, 9))):
         for m in ms:
             A = alexander_matrix(family_presentation(family, m))
             assert delta0_via_pid(A) == delta0_via_degree(A), (family, m)
@@ -246,16 +247,82 @@ def test_modular_pid_route_matches_degree_route_on_a3_inputs():
 
 
 def test_modular_pid_route_matches_degree_route_on_random_arrangements():
-    # 3-5 lines: the degree route takes up to a second on six lines and up to
-    # tens of seconds on seven
+    # 3-7 lines: with the spread minor order a Δ = 1 input needs a few
+    # minors, so the 200 arrangements take seconds, not minutes
     rng = random.Random(2024)
     seen = set()
     for _ in range(200):
-        A = alexander_matrix(wiring_presentation(random_lines(rng, rng.randint(3, 5)))[0])
+        A = alexander_matrix(wiring_presentation(random_lines(rng, rng.randint(3, 7)))[0])
         d = delta0_via_degree(A)
         assert delta0_via_pid(A) == d
         seen.add(d)
     assert len(seen) >= 3
+
+
+def test_degree_route_stops_after_few_minors(monkeypatch):
+    # family generic m=7 has Δ = 1; the lexicographic column order consumed
+    # 12,502 of its 54,264 deleted-row minors before the gcd became a unit
+    consumed = []
+    original = alexinv.iter_minors
+
+    def counting(M, k):
+        for minor in original(M, k):
+            consumed.append(minor)
+            yield minor
+
+    monkeypatch.setattr(alexinv, "iter_minors", counting)
+    delta = alexander_polynomial(family_presentation("generic", 7))
+    assert delta == LaurentPolynomial.one(7)
+    assert 0 < len(consumed) <= 50
+
+
+def transversal_lines(rng, m):
+    """m lines with small integer coefficients, no two of them parallel.
+    A drawn number of them pass through one lattice point, so that pencils,
+    near-pencils and other points of high multiplicity are common."""
+    px, py = rng.randint(-2, 2), rng.randint(-2, 2)
+    through = rng.randint(0, m)
+    lines = {}
+    while len(lines) < m:
+        a, b = rng.randint(-3, 3), rng.randint(-3, 3)
+        if a or b:
+            c = a * px + b * py if len(lines) < through else rng.randint(-5, 5)
+            line = Line.of(a, b, c)
+            lines.setdefault(line.direction(), line)
+    return list(lines.values())
+
+
+def test_libgober_divisibility_on_transversal_arrangements():
+    # Libgober (1982): for a curve transversal to the line at infinity, the
+    # total-linking specialization Δ(t, ..., t) divides the product over the
+    # affine points of multiplicity m_p >= 3 of (t^m_p - 1)^(m_p - 2), and
+    # divides (t^m - 1)^(m - 2).  With parallel lines the curve meets
+    # infinity in a multiple point and the affine product alone can fail.
+    import sympy
+
+    t = sympy.Symbol("t")
+    rng = random.Random(1982)
+    nonunit = 0
+    for _ in range(100):
+        m = rng.randint(3, 7)
+        lines = transversal_lines(rng, m)
+        A = alexander_matrix(wiring_presentation(lines)[0])
+        # meridians go to a basis of H_1, so t_i -> t is the total linking map
+        assert sorted(A.ab.quotient_map) == sorted(
+            tuple(int(i == j) for j in range(m)) for i in range(m))
+        delta = alexander_polynomial(A)
+        low = min(sum(e) for e in delta.terms)
+        specialized = sympy.Poly(
+            sum(c * t ** (sum(e) - low) for e, c in delta.terms.items()), t, domain="QQ")
+        assert not specialized.is_zero, lines
+        affine = sympy.Integer(1)
+        for _, idx in intersect_arrangement(lines).points:
+            if len(idx) >= 3:
+                affine *= (t ** len(idx) - 1) ** (len(idx) - 2)
+        for target in (affine, (t ** m - 1) ** (m - 2)):
+            assert sympy.Poly(target, t, domain="QQ").rem(specialized).is_zero, lines
+        nonunit += specialized.degree() > 0
+    assert nonunit >= 15
 
 
 def test_modular_pid_route_draws_fresh_points(monkeypatch):

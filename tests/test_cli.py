@@ -13,6 +13,7 @@ PENCIL3 = "line: 0 1 0\nline: 1 -1 0\nline: 1 1 0\n"
 PARALLEL2 = "line: 0 1 0\nline: 0 1 1\n"
 NEAR_PENCIL4 = "line: 0 1 0\nline: 0 1 1\nline: 0 1 2\nline: 1 0 0\n"
 DECONED_A3 = "line: 1 0 0\nline: 0 1 0\nline: 1 0 1\nline: 0 1 1\nline: 1 -1 0\n"
+A3_NODAL = DECONED_A3 + "line: 1 3 5\nline: 3 1 7\n"
 
 
 def run(capsys, *argv):
@@ -246,6 +247,18 @@ def test_analyze_deconed_a3_with_default_routes(tmp_path, capsys):
     assert code == 0
     assert doc["invariants"]["delta0"] == 0
     assert doc["invariants"]["routes"] == {"degree": 0, "pid": 0}
+
+
+def test_analyze_pid_route_on_a3_plus_two_nodal_lines(tmp_path, capsys):
+    # the report carries Δ under every route, so this also runs the degree
+    # route: 7 x 16, 8008 column sets, Δ = 1 after a few of them
+    f = tmp_path / "a3-nodal.txt"
+    f.write_text(A3_NODAL)
+    code, doc = run_json(capsys, "analyze", str(f), "--route", "pid")
+    assert code == 0
+    assert doc["invariants"]["delta0"] == 0
+    assert doc["invariants"]["routes"] == {"degree": None, "pid": 0}
+    assert doc["invariants"]["alexander_polynomial"] == "1"
 
 
 def test_disagreeing_draws_exit_4(tmp_path, monkeypatch, capsys):

@@ -2,7 +2,7 @@
 integer Smith normal form, and Laurent minors."""
 
 import random
-from itertools import permutations
+from itertools import combinations, permutations
 
 import pytest
 
@@ -15,6 +15,7 @@ from alexarr.ringkit import (
     smith_normal_form_int,
     unit_normalize,
 )
+from alexarr.ringkit.matrices import _spread_subsets
 
 
 def test_snf_classic_example():
@@ -89,8 +90,8 @@ def test_minor_of_diagonal_is_product():
 
 
 def test_minors_of_central_commutator_matrix():
-    # up to sign these are the three 2x2 subdeterminants, in row-set then
-    # column-set lexicographic order
+    # up to sign these are the three 2x2 subdeterminants, in row-set
+    # lexicographic order (there is one column set)
     t1, t2, t3 = _vars3()
     z = LaurentPolynomial.zero(3)
     m = Matrix([[1 - t3, z], [z, 1 - t3], [t1 - 1, t2 - 1]])
@@ -104,6 +105,48 @@ def test_minors_of_central_commutator_matrix():
     for g, e in zip(got, expected):
         assert g == e or g == -e
         assert unit_normalize(g) == unit_normalize(e)
+
+
+def test_spread_order_is_a_bijection_onto_the_subsets():
+    for n in range(1, 13):
+        for k in range(1, n + 1):
+            got = list(_spread_subsets(n, k))
+            assert sorted(got) == list(combinations(range(n), k)), (n, k)
+            assert all(list(c) == sorted(set(c)) for c in got), (n, k)
+
+
+def test_spread_order_is_fixed():
+    assert list(_spread_subsets(9, 4)) == list(_spread_subsets(9, 4))
+    assert list(_spread_subsets(5, 2)) == [
+        (0, 1), (1, 4), (1, 3), (0, 2), (2, 4), (2, 3), (1, 2), (3, 4), (0, 4), (0, 3)]
+
+
+def test_spread_order_separates_consecutive_subsets():
+    # what the degree route relies on: lexicographic neighbours share k - 1
+    # columns almost always, spread neighbours far fewer
+    def mean_overlap(order):
+        return sum(len(set(a) & set(b)) for a, b in zip(order, order[1:])) / (len(order) - 1)
+
+    n, k = 21, 6
+    assert mean_overlap(list(combinations(range(n), k))) > 4.5
+    assert mean_overlap(list(_spread_subsets(n, k))) < 2.5
+
+
+def test_minor_rows_lexicographic_columns_spread():
+    rng = random.Random(7)
+    rows, cols, k = 4, 6, 2
+    m = Matrix([[rng.randint(-9, 9) for _ in range(cols)] for _ in range(rows)])
+    first = list(iter_minors(m, k))
+    assert first == list(iter_minors(m, k))
+    expected = [
+        m.submatrix(ri, ci).determinant()
+        for ri in combinations(range(rows), k)
+        for ci in _spread_subsets(cols, k)
+    ]
+    assert first == expected
+    # k = 1: the entries, row by row, each row in the spread column order
+    cols_order = [c for (c,) in _spread_subsets(cols, 1)]
+    assert list(iter_minors(m, 1)) == [m.entries[i][j] for i in range(rows) for j in cols_order]
 
 
 def test_minor_size_out_of_range():

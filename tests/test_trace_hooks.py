@@ -65,3 +65,21 @@ def test_cli_calls_reach_the_traced_names(tracing, tmp_path, capsys):
     assert tracer.calls["arrangements.intersect"] == 2
     assert tracer.calls["arrangements.classify"] == 6
     assert tracer.calls["arrangements.sweep"] == 2
+
+
+def test_degree_route_goes_through_the_traced_minors(tracing, tmp_path, capsys):
+    # the tracer counts minors at alexarr.alexinv.iter_minors; a degree route
+    # that enumerated minors under another name would read 0 here
+    cli = importlib.import_module("alexarr.cli")
+    pres = tmp_path / "generic5.pres"
+    assert cli.main(["presentation", "--family", "generic", "--m", "5",
+                     "--out", str(pres)]) == 0
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        assert cli.main(["invariants", str(pres), "--out", str(tmp_path / "out.json")]) == 0
+    finally:
+        tracer.uninstall()
+    assert tracer.calls["ringkit.minors"] == 1
+    assert tracer.counts["ringkit.minors.yielded"] > 0
+    assert tracer.calls["alexinv.degree"] == 1
