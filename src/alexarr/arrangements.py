@@ -16,6 +16,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
+from operator import itemgetter
 from typing import Sequence
 
 from .groups import Presentation, Word, presentation
@@ -69,16 +71,6 @@ class Line:
         return f"{self.a}*x + {self.b}*y = {self.c}"
 
 
-def intersection_point(l1: Line, l2: Line) -> tuple | None:
-    """Exact intersection of two lines, or None when parallel."""
-    det = l1.a * l2.b - l2.a * l1.b
-    if det == 0:
-        return None
-    x = (l1.c * l2.b - l2.c * l1.b) / det
-    y = (l1.a * l2.c - l2.a * l1.c) / det
-    return (x, y)
-
-
 @dataclass(frozen=True)
 class IntersectionData:
     """Multiple points and parallel structure of an arrangement.
@@ -125,27 +117,60 @@ def parse_arrangement(text: str) -> list:
     return lines
 
 
-def _lines_through_points(lines: Sequence[Line]) -> dict:
-    """Map each multiple point (x, y) to the set of indices of its lines."""
+def _integer_lines(lines: Sequence[Line]) -> list:
+    """Each line as coprime integers (a, b, c) of a*x + b*y = c.
+
+    The first nonzero of (a, b) stays positive, as in ``Line``'s normal
+    form, so equal lines give equal triples."""
+    out = []
+    for ln in lines:
+        coeffs = (ln.a, ln.b, ln.c)
+        d = lcm(*(v.denominator for v in coeffs))
+        a, b, c = (v.numerator * (d // v.denominator) for v in coeffs)
+        g = gcd(a, b, c)
+        out.append((a // g, b // g, c // g))
+    return out
+
+
+def _lines_through_points(lines: Sequence[tuple]) -> dict:
+    """Map each multiple point to the set of indices of its lines.
+
+    ``lines`` are integer triples from ``_integer_lines``.  The point
+    (X/W, Y/W) is keyed by the triple (X, Y, W) with W > 0 and
+    gcd(X, Y, W) = 1, so equal points get equal keys and no fraction is
+    built."""
     if not lines:
         raise ArrangementError("empty arrangement")
     if len(set(lines)) != len(lines):
         raise ArrangementError("duplicate lines in arrangement")
     by_point: dict = {}
-    for i in range(len(lines)):
+    for i, (a1, b1, c1) in enumerate(lines):
         for j in range(i + 1, len(lines)):
-            pt = intersection_point(lines[i], lines[j])
-            if pt is not None:
-                by_point.setdefault(pt, set()).update((i, j))
+            a2, b2, c2 = lines[j]
+            w = a1 * b2 - a2 * b1
+            if w:
+                x = c1 * b2 - c2 * b1
+                y = a1 * c2 - a2 * c1
+                g = gcd(x, y, w) if w > 0 else -gcd(x, y, w)
+                by_point.setdefault((x // g, y // g, w // g), set()).update((i, j))
     return by_point
+
+
+def _over_common_denominator(points) -> tuple:
+    """(L, [(X*L/W, Y*L/W), ...]) for points keyed (X, Y, W): L is the lcm
+    of the W, so the integer pairs order and shear as the points do."""
+    den = lcm(*(w for _, _, w in points))
+    return den, [(x * (den // w), y * (den // w)) for x, y, w in points]
 
 
 def intersect_arrangement(lines: Sequence[Line]) -> IntersectionData:
     """Group all pairwise intersections into multiple points, exactly."""
-    by_point = _lines_through_points(lines)
+    by_point = _lines_through_points(_integer_lines(lines))
     m = len(lines)
+    _, scaled = _over_common_denominator(by_point)
     points = tuple(
-        (pt, tuple(sorted(idx))) for pt, idx in sorted(by_point.items())
+        ((Fraction(x, w), Fraction(y, w)), tuple(sorted(idx)))
+        for _, ((x, y, w), idx) in sorted(zip(scaled, by_point.items()))
     )
     per_line: list = [[] for _ in range(m)]
     for _, idx in points:
@@ -479,26 +504,25 @@ class SweepProvenance:
     wire_lines: tuple  # wire position (bottom to top) -> input line index
 
 
-def _choose_shear(lines: Sequence[Line], points) -> Fraction:
+def _choose_shear(lines: Sequence[tuple], points: Sequence[tuple]) -> int:
     """Smallest nonnegative integer shear making the picture sweep-generic.
 
     Under (x, y) -> (x + s*y, y) no line may become vertical and the multiple
-    ``points`` (a collection of (x, y)) must get pairwise distinct abscissas.
-    Each line and each pair of points rules out at most one s, so the range
-    searched holds an answer; a candidate costs O(len(lines) + len(points)).
+    points must get pairwise distinct abscissas.  ``lines`` are integer
+    triples (a, b, c); the sheared line a*x + (b - s*a)*y = c is vertical
+    when b = s*a.  ``points`` are the multiple points as integer pairs
+    (x, y) over one common denominator L (see ``_over_common_denominator``),
+    so a point's sheared abscissa is the integer x + s*y over L.  Each line
+    and each pair of points rules out at most one s, so the range searched
+    holds an answer; a candidate costs O(len(lines) + len(points)) integer
+    operations.
     """
     n = len(points)
     for s in range(len(lines) + n * (n - 1) // 2 + 1):
-        if any(ln.b == s * ln.a for ln in lines):
+        if any(b == s * a for a, b, _ in lines):
             continue
-        seen = set()
-        for x, y in points:
-            u = x + s * y
-            if u in seen:
-                break
-            seen.add(u)
-        else:
-            return Fraction(s)
+        if len({x + s * y for x, y in points}) == n:
+            return s
     raise ArrangementError("shear search ran out of candidates")
 
 
@@ -509,23 +533,27 @@ def wiring_presentation(lines: Sequence[Line]) -> tuple:
     the line at initial wire position i (bottom to top at the base fiber);
     the provenance records which input line that is.
     """
-    by_point = _lines_through_points(lines)
-    s = _choose_shear(lines, by_point)
-    sheared = [ln.shear(s) for ln in lines]
-    m = len(sheared)
+    rows = _integer_lines(lines)
+    by_point = _lines_through_points(rows)
+    den, scaled = _over_common_denominator(by_point)
+    s = _choose_shear(rows, scaled)
+    m = len(rows)
 
-    # the shear maps the meeting point of two lines to that of their images
+    # the shear maps the meeting point of two lines to that of their
+    # images; events are ordered by their sheared abscissas, over den
     event_list = sorted(
-        ((x + s * y, y), tuple(sorted(idx))) for (x, y), idx in by_point.items()
+        zip((x + s * y for x, y in scaled), by_point.values()), key=itemgetter(0)
     )
-    xs = [pt[0] for pt, _ in event_list]
+    xs = [u for u, _ in event_list]
     if len(set(xs)) != len(xs):
         raise ArrangementError("shear failed to separate event x-coordinates")
 
-    base_x = (min(xs) if xs else Fraction(0)) - 1
-    order = sorted(range(m), key=lambda i: sheared[i].y_at(base_x))
-    ys = [sheared[i].y_at(base_x) for i in order]
-    if len(set(ys)) != m:
+    # base fiber at x = base / den, left of every event; the sheared line
+    # a*x + (b - s*a)*y = c crosses it at y = (c*den - a*base) / ((b - s*a)*den)
+    base = (xs[0] if xs else 0) - den
+    heights = [Fraction(c * den - a * base, (b - s * a) * den) for a, b, c in rows]
+    order = sorted(range(m), key=heights.__getitem__)
+    if len(set(heights)) != m:
         raise ArrangementError("base fiber meets a crossing; shear is degenerate")
 
     pos_of = {line_idx: pos for pos, line_idx in enumerate(order)}
@@ -533,7 +561,7 @@ def wiring_presentation(lines: Sequence[Line]) -> tuple:
     words = [Word.generator(i) for i in range(m)]  # position -> meridian word
     relators = []
 
-    for pt, incident in event_list:
+    for _, incident in event_list:
         block = sorted(pos_of[i] for i in incident)
         k = len(block)
         p = block[0]
@@ -570,5 +598,6 @@ def wiring_presentation(lines: Sequence[Line]) -> tuple:
 
     names = [f"x{order[i] + 1}" for i in range(m)]
     pres = presentation(names, relators)
-    prov = SweepProvenance(shear=s, base_x=base_x, wire_lines=tuple(order))
+    prov = SweepProvenance(shear=Fraction(s), base_x=Fraction(base, den),
+                           wire_lines=tuple(order))
     return pres, prov

@@ -15,6 +15,8 @@ optional; without it every generator is treated as a meridian.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import groupby
+from operator import neg
 from typing import Iterable, Sequence
 
 from .ringkit import Matrix, smith_normal_form_int
@@ -56,6 +58,13 @@ class Word:
         raise AttributeError("Word is immutable")
 
     @classmethod
+    def _reduced(cls, letters: tuple) -> "Word":
+        """Wrap a letter tuple that is already freely reduced, unscanned."""
+        w = object.__new__(cls)
+        object.__setattr__(w, "letters", letters)
+        return w
+
+    @classmethod
     def generator(cls, index: int, power: int = 1) -> "Word":
         return cls([index + 1 if power > 0 else -(index + 1)] * abs(power))
 
@@ -64,10 +73,17 @@ class Word:
         return cls(())
 
     def __mul__(self, other: "Word") -> "Word":
-        return Word(self.letters + other.letters)
+        # both operands are reduced, so letters cancel only where they meet
+        a, b = self.letters, other.letters
+        k = 0
+        for x, y in zip(reversed(a), b):
+            if x != -y:
+                break
+            k += 1
+        return Word._reduced(a[:len(a) - k] + b[k:])
 
     def inverse(self) -> "Word":
-        return Word(tuple(-x for x in reversed(self.letters)))
+        return Word._reduced(tuple(map(neg, reversed(self.letters))))
 
     def conjugate_by(self, w: "Word") -> "Word":
         """w * self * w^-1."""
@@ -90,7 +106,7 @@ class Word:
 
     def max_generator(self) -> int:
         """Largest generator index referenced, or -1 for the identity."""
-        return max((abs(x) - 1 for x in self.letters), default=-1)
+        return max(map(abs, self.letters), default=0) - 1
 
     def exponent_vector(self, num_gens: int) -> list:
         vec = [0] * num_gens
@@ -102,18 +118,11 @@ class Word:
         if not self.letters:
             return "1"
         out = []
-        i = 0
-        letters = self.letters
-        while i < len(letters):
-            x = letters[i]
-            j = i
-            while j + 1 < len(letters) and letters[j + 1] == x:
-                j += 1
-            count = j - i + 1
-            name = names[abs(x) - 1]
+        for x, run in groupby(self.letters):
+            count = len(list(run))
             exp = count if x > 0 else -count
+            name = names[abs(x) - 1]
             out.append(name if exp == 1 else f"{name}^{exp}")
-            i = j + 1
         return " ".join(out)
 
     def __repr__(self):

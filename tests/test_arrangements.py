@@ -4,6 +4,7 @@ import hashlib
 import random
 from collections import Counter
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -12,14 +13,15 @@ from alexarr.arrangements import (
     ArrangementError,
     Line,
     _choose_shear,
+    _integer_lines,
     _lines_through_points,
+    _over_common_denominator,
     classify_arrangement,
     combinatorial_bounds,
     curve_at_infinity_bound,
     family_arrangement,
     family_presentation,
     intersect_arrangement,
-    intersection_point,
     parse_arrangement,
     vanishing_and_infinite_verdicts,
     wiring_presentation,
@@ -30,6 +32,29 @@ from alexarr.groups import Word
 
 def lines_of(*abc):
     return [Line.of(*t) for t in abc]
+
+
+def intersection_point(l1, l2):
+    """Oracle: exact intersection of two lines in fractions, or None when
+    parallel."""
+    det = l1.a * l2.b - l2.a * l1.b
+    if det == 0:
+        return None
+    x = (l1.c * l2.b - l2.c * l1.b) / det
+    y = (l1.a * l2.c - l2.a * l1.c) / det
+    return (x, y)
+
+
+def oracle_points(lines):
+    """Oracle: map each multiple point (x, y), in fractions, to the set of
+    indices of its lines."""
+    by_point = {}
+    for i in range(len(lines)):
+        for j in range(i + 1, len(lines)):
+            pt = intersection_point(lines[i], lines[j])
+            if pt is not None:
+                by_point.setdefault(pt, set()).update((i, j))
+    return by_point
 
 
 # ----------------------------------------------------------------------
@@ -345,13 +370,7 @@ def forbidden_set_shear(lines):
     for ln in lines:
         if ln.a != 0:
             forbidden.add(ln.b / ln.a)  # would become vertical
-    pts = {}
-    for i in range(len(lines)):
-        for j in range(i + 1, len(lines)):
-            pt = intersection_point(lines[i], lines[j])
-            if pt is not None:
-                pts[pt] = True
-    pts = list(pts)
+    pts = list(oracle_points(lines))
     for i in range(len(pts)):
         for j in range(i + 1, len(pts)):
             (x1, y1), (x2, y2) = pts[i], pts[j]
@@ -365,13 +384,15 @@ def forbidden_set_shear(lines):
 
 
 coef = st.integers(-3, 3)
+rational_coef = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 4))
 
 
 @st.composite
-def small_arrangements(draw):
-    """2-9 distinct lines with coefficients in -3..3.  Each line is random,
-    vertical, parallel to an earlier line, or through the meeting point of
-    two earlier lines (then c is rational and may leave -3..3)."""
+def small_arrangements(draw, coef=coef):
+    """2-9 distinct lines with coefficients drawn from ``coef`` (by default
+    integers in -3..3).  Each line is random, vertical, parallel to an
+    earlier line, or through the meeting point of two earlier lines (then c
+    is rational and may leave the range of ``coef``)."""
     lines = []
     for _ in range(draw(st.integers(2, 9))):
         kind = draw(st.sampled_from(["any", "vertical", "parallel", "concurrent"]))
@@ -394,15 +415,36 @@ def small_arrangements(draw):
     return lines
 
 
+def search_shear(lines):
+    rows = _integer_lines(lines)
+    return _choose_shear(rows, _over_common_denominator(_lines_through_points(rows))[1])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(small_arrangements(), small_arrangements(rational_coef)))
+def test_integer_points_match_fraction_oracle(lines):
+    by_point = _lines_through_points(_integer_lines(lines))
+    assert all(w > 0 and gcd(x, y, w) == 1 for x, y, w in by_point)
+    oracle = oracle_points(lines)
+    assert {(Fraction(x, w), Fraction(y, w)): idx
+            for (x, y, w), idx in by_point.items()} == oracle
+    assert intersect_arrangement(lines).points == tuple(
+        (pt, tuple(sorted(idx))) for pt, idx in sorted(oracle.items())
+    )
+
+
 @settings(max_examples=300, deadline=None)
 @given(small_arrangements())
 def test_shear_search_matches_forbidden_set_oracle(lines):
-    by_point = _lines_through_points(lines)
-    s = _choose_shear(lines, by_point)
+    rows = _integer_lines(lines)
+    by_point = _lines_through_points(rows)
+    s = _choose_shear(rows, _over_common_denominator(by_point)[1])
     assert s == forbidden_set_shear(lines)
     # shearing the points gives the meeting points of the sheared lines
-    sheared_points = {(x + s * y, y): idx for (x, y), idx in by_point.items()}
-    assert sheared_points == _lines_through_points([ln.shear(s) for ln in lines])
+    sheared_points = {(x + s * y, y, w): idx for (x, y, w), idx in by_point.items()}
+    assert sheared_points == _lines_through_points(
+        _integer_lines([ln.shear(s) for ln in lines])
+    )
 
 
 A3 = [(1, 0, 0), (0, 1, 0), (1, 0, 1), (0, 1, 1), (1, -1, 0)]
@@ -415,7 +457,7 @@ A3 = [(1, 0, 0), (0, 1, 0), (1, 0, 1), (0, 1, 1), (1, -1, 0)]
 ])
 def test_shear_search_named_cases(abc, shear):
     lines = lines_of(*abc)
-    assert _choose_shear(lines, _lines_through_points(lines)) == shear
+    assert search_shear(lines) == shear
     assert forbidden_set_shear(lines) == shear
     assert wiring_presentation(lines)[1].shear == shear
 
@@ -424,15 +466,21 @@ def test_shear_search_stops_when_candidates_run_out():
     # a repeated point collides under every shear: the bounded search must
     # end with an error rather than spin
     with pytest.raises(ArrangementError, match="shear search"):
-        _choose_shear(lines_of((1, 0, 0)), [(Fraction(0), Fraction(0))] * 2)
+        _choose_shear(_integer_lines(lines_of((1, 0, 0))), [(0, 0)] * 2)
 
 
-def random_arrangement(seed, m, lo=-6, hi=6):
-    """m distinct lines with integer coefficients drawn from lo..hi."""
+def random_arrangement(seed, m, lo=-6, hi=6, den=1):
+    """m distinct lines with coefficients p/q, p drawn from lo..hi and q
+    from 1..den (integers when den is 1)."""
     rng = random.Random(seed)
+
+    def coefficient():
+        p = rng.randint(lo, hi)
+        return p if den == 1 else Fraction(p, rng.randint(1, den))
+
     lines = {}
     while len(lines) < m:
-        a, b, c = (rng.randint(lo, hi) for _ in range(3))
+        a, b, c = (coefficient() for _ in range(3))
         if (a, b) != (0, 0):
             lines.setdefault(Line.of(a, b, c), (a, b, c))
     return list(lines.values())
@@ -448,11 +496,14 @@ PINNED_SWEEPS = [
      5, "c2062d7cbf481f35d716476adadb7b25eddf1df75a990a012b67e48b0eb67796"),
     (random_arrangement(12, 12),
      13, "be6f7847c88d20fb76087712b6f2706494709e7f7d46a1ca6151eaa91f6d15f1"),
+    # benchmark size, and coefficients with denominators up to 4
+    (random_arrangement(30, 30, den=4),
+     37, "d86832a80520f322229bb640b4e107897a6de33ff4dbdf46c675e502644bf8fa"),
 ]
 
 
 @pytest.mark.parametrize("abc, shear, digest", PINNED_SWEEPS,
-                         ids=["vertical", "parallel", "random12"])
+                         ids=["vertical", "parallel", "random12", "rational30"])
 def test_presentation_output_pinned(tmp_path, abc, shear, digest):
     src = tmp_path / "arr.txt"
     src.write_text("".join(f"line: {a} {b} {c}\n" for a, b, c in abc))
@@ -470,7 +521,7 @@ def sweep_generic(lines, s):
     sheared = [ln.shear(s) for ln in lines]
     if any(ln.is_vertical() for ln in sheared):
         return False
-    xs = [x for x, _ in _lines_through_points(sheared)]
+    xs = [x for x, _ in oracle_points(sheared)]
     return len(set(xs)) == len(xs)
 
 

@@ -14,6 +14,12 @@ from alexarr.groups import (
 )
 
 letters = st.lists(st.sampled_from([1, -1, 2, -2, 3, -3]), max_size=16)
+# runs of up to 12 equal letters, so formatted words carry exponents
+runs = st.lists(
+    st.tuples(st.sampled_from([1, -1, 2, -2, 3, -3]), st.integers(1, 12)), max_size=6
+).map(lambda rs: [x for x, n in rs for _ in range(n)])
+words = st.one_of(letters, runs).map(Word)
+NAMES = ("a", "b", "c")
 
 
 def test_parse_commutator_presentation():
@@ -81,6 +87,58 @@ def test_free_reduce_idempotent_and_nonincreasing(seq):
 def test_word_times_inverse_is_identity(seq):
     w = Word(seq)
     assert (w * w.inverse()).is_identity()
+
+
+@settings(max_examples=300, deadline=None)
+@given(words, words, st.integers(0, 40), st.booleans())
+def test_word_product_cancels_at_the_seam(u, w, cut, whole):
+    # v opens with the inverse of a tail of u, so the seam cancels that tail,
+    # all of u when the cut covers it, and all of u * v when whole is set
+    tail = Word(u.letters[max(len(u) - cut, 0):])
+    v = tail.inverse() if whole else tail.inverse() * w
+    assert (u * v).letters == free_reduce(u.letters + v.letters)
+    assert (u * w).letters == free_reduce(u.letters + w.letters)
+    assert (u * u.inverse()).is_identity() and (u.inverse() * u).is_identity()
+    assert u * Word.identity() == u == Word.identity() * u
+    inv = tuple(-x for x in reversed(w.letters))
+    assert u.conjugate_by(w).letters == free_reduce(w.letters + u.letters + inv)
+
+
+def format_oracle(letters, names):
+    """The run-length loop that Word.format replaced."""
+    if not letters:
+        return "1"
+    out = []
+    i = 0
+    while i < len(letters):
+        x = letters[i]
+        j = i
+        while j + 1 < len(letters) and letters[j + 1] == x:
+            j += 1
+        count = j - i + 1
+        name = names[abs(x) - 1]
+        exp = count if x > 0 else -count
+        out.append(name if exp == 1 else f"{name}^{exp}")
+        i = j + 1
+    return " ".join(out)
+
+
+@settings(max_examples=300, deadline=None)
+@given(words)
+def test_word_format_and_max_generator(u):
+    text = u.format(NAMES)
+    assert text == format_oracle(u.letters, NAMES)
+    assert u.max_generator() == max((abs(x) - 1 for x in u.letters), default=-1)
+    if not u.is_identity():
+        p = parse_presentation("gens: a b c\nrel: " + text + "\n")
+        assert p.relators == (u,)
+
+
+def test_word_format_examples():
+    assert Word.identity().format(NAMES) == "1"
+    assert Word.identity().max_generator() == -1
+    assert Word([1, 1, 1, -2, 3, -1, -1, 2, -3]).format(NAMES) == "a^3 b^-1 c a^-2 b c^-1"
+    assert Word([-3] * 12).format(NAMES) == "c^-12"
 
 
 def test_roundtrip_through_serializer():
