@@ -594,7 +594,8 @@ def wiring_presentation(lines: Sequence[Line]) -> tuple:
             new_wires[p + j] = wires[p + k - 1 - j]
         words = new_words
         wires = new_wires
-        pos_of = {line_idx: pos for pos, line_idx in enumerate(wires)}
+        for pos in range(p, p + k):
+            pos_of[wires[pos]] = pos
 
     names = [f"x{order[i] + 1}" for i in range(m)]
     pres = presentation(names, relators)

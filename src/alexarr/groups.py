@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import groupby
-from operator import neg
+from operator import eq, neg
 from typing import Iterable, Sequence
 
 from .ringkit import Matrix, smith_normal_form_int
@@ -70,7 +70,7 @@ class Word:
 
     @classmethod
     def identity(cls) -> "Word":
-        return cls(())
+        return cls._reduced(())
 
     def __mul__(self, other: "Word") -> "Word":
         # both operands are reduced, so letters cancel only where they meet
@@ -115,10 +115,16 @@ class Word:
         return vec
 
     def format(self, names: Sequence[str]) -> str:
-        if not self.letters:
+        letters = self.letters
+        if not letters:
             return "1"
+        # swept relators rarely repeat a letter, and per letter a plain
+        # lookup is cheaper than a groupby run; runs take the general path
+        if not any(map(eq, letters, letters[1:])):
+            return " ".join([names[x - 1] if x > 0 else f"{names[-x - 1]}^-1"
+                             for x in letters])
         out = []
-        for x, run in groupby(self.letters):
+        for x, run in groupby(letters):
             count = len(list(run))
             exp = count if x > 0 else -count
             name = names[abs(x) - 1]
