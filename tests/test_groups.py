@@ -92,8 +92,9 @@ def test_word_times_inverse_is_identity(seq):
 @settings(max_examples=300, deadline=None)
 @given(words, words, st.integers(0, 40), st.booleans())
 def test_word_product_cancels_at_the_seam(u, w, cut, whole):
-    # v opens with the inverse of a tail of u, so the seam cancels that tail,
-    # all of u when the cut covers it, and all of u * v when whole is set
+    # v opens with the inverse of the last `cut` letters of u, so the seam
+    # cancels them (all of u when cut >= len(u)); with `whole`, v is only
+    # that inverse
     tail = Word(u.letters[max(len(u) - cut, 0):])
     v = tail.inverse() if whole else tail.inverse() * w
     assert (u * v).letters == free_reduce(u.letters + v.letters)
