@@ -55,11 +55,6 @@ class Line:
         """Key identifying the parallel class."""
         return (self.a, self.b)
 
-    def y_at(self, x: Fraction) -> Fraction:
-        if self.b == 0:
-            raise ArrangementError("vertical line has no y(x)")
-        return (self.c - self.a * x) / self.b
-
     def is_vertical(self) -> bool:
         return self.b == 0
 
@@ -156,21 +151,33 @@ def _lines_through_points(lines: Sequence[tuple]) -> dict:
     return by_point
 
 
-def _over_common_denominator(points) -> tuple:
-    """(L, [(X*L/W, Y*L/W), ...]) for points keyed (X, Y, W): L is the lcm
-    of the W, so the integer pairs order and shear as the points do."""
-    den = lcm(*(w for _, _, w in points))
-    return den, [(x * (den // w), y * (den // w)) for x, y, w in points]
+def _fixed_point_bits(points) -> int:
+    """Bits B for the fixed-point form floor(v * 2**B) of the coordinates.
+
+    ``points`` are triples (X, Y, W) from ``_lines_through_points``.  Two
+    distinct numbers u1/W1 and u2/W2 with integer u differ by at least
+    1/(W1*W2) > 2**-B, so their fixed-point forms differ as the numbers
+    do, and equal numbers get equal forms.  B depends only on the largest
+    W, not on how many points there are."""
+    return 2 * max((w for _, _, w in points), default=1).bit_length()
+
+
+def _abscissas(points, s: int, bits: int) -> list:
+    """Fixed-point abscissas floor((X + s*Y) * 2**bits / W) of the points
+    (X, Y, W) under the shear (x, y) -> (x + s*y, y)."""
+    return [(x + s * y << bits) // w for x, y, w in points]
 
 
 def intersect_arrangement(lines: Sequence[Line]) -> IntersectionData:
     """Group all pairwise intersections into multiple points, exactly."""
     by_point = _lines_through_points(_integer_lines(lines))
     m = len(lines)
-    _, scaled = _over_common_denominator(by_point)
+    bits = _fixed_point_bits(by_point)
+    keys = zip(_abscissas(by_point, 0, bits),
+               [(y << bits) // w for _, y, w in by_point])
     points = tuple(
         ((Fraction(x, w), Fraction(y, w)), tuple(sorted(idx)))
-        for _, ((x, y, w), idx) in sorted(zip(scaled, by_point.items()))
+        for _, ((x, y, w), idx) in sorted(zip(keys, by_point.items()))
     )
     per_line: list = [[] for _ in range(m)]
     for _, idx in points:
@@ -504,24 +511,26 @@ class SweepProvenance:
     wire_lines: tuple  # wire position (bottom to top) -> input line index
 
 
-def _choose_shear(lines: Sequence[tuple], points: Sequence[tuple]) -> int:
+def _choose_shear(lines: Sequence[tuple], points) -> int:
     """Smallest nonnegative integer shear making the picture sweep-generic.
 
     Under (x, y) -> (x + s*y, y) no line may become vertical and the multiple
     points must get pairwise distinct abscissas.  ``lines`` are integer
     triples (a, b, c); the sheared line a*x + (b - s*a)*y = c is vertical
-    when b = s*a.  ``points`` are the multiple points as integer pairs
-    (x, y) over one common denominator L (see ``_over_common_denominator``),
-    so a point's sheared abscissa is the integer x + s*y over L.  Each line
-    and each pair of points rules out at most one s, so the range searched
-    holds an answer; a candidate costs O(len(lines) + len(points)) integer
-    operations.
+    when b = s*a.  ``points`` are the triples (X, Y, W) of the multiple
+    points, compared through their fixed-point abscissas (see
+    ``_fixed_point_bits``).  Each line and each pair of points rules out at
+    most one s, so the range searched holds an answer; a candidate costs
+    O(len(lines) + len(points)) operations on integers of about
+    log2|x| + 3*log2(max W) bits, x the largest sheared abscissa, whatever
+    the number of points.
     """
     n = len(points)
+    bits = _fixed_point_bits(points)
     for s in range(len(lines) + n * (n - 1) // 2 + 1):
         if any(b == s * a for a, b, _ in lines):
             continue
-        if len({x + s * y for x, y in points}) == n:
+        if len(set(_abscissas(points, s, bits))) == n:
             return s
     raise ArrangementError("shear search ran out of candidates")
 
@@ -535,23 +544,24 @@ def wiring_presentation(lines: Sequence[Line]) -> tuple:
     """
     rows = _integer_lines(lines)
     by_point = _lines_through_points(rows)
-    den, scaled = _over_common_denominator(by_point)
-    s = _choose_shear(rows, scaled)
+    s = _choose_shear(rows, list(by_point))
     m = len(rows)
 
     # the shear maps the meeting point of two lines to that of their
-    # images; events are ordered by their sheared abscissas, over den
-    event_list = sorted(
-        zip((x + s * y for x, y in scaled), by_point.values()), key=itemgetter(0)
-    )
-    xs = [u for u, _ in event_list]
+    # images; events are ordered by their fixed-point sheared abscissas
+    xs = _abscissas(by_point, s, _fixed_point_bits(by_point))
+    event_list = sorted(zip(xs, by_point.items()), key=itemgetter(0))
     if len(set(xs)) != len(xs):
         raise ArrangementError("shear failed to separate event x-coordinates")
 
-    # base fiber at x = base / den, left of every event; the sheared line
-    # a*x + (b - s*a)*y = c crosses it at y = (c*den - a*base) / ((b - s*a)*den)
-    base = (xs[0] if xs else 0) - den
-    heights = [Fraction(c * den - a * base, (b - s * a) * den) for a, b, c in rows]
+    # base fiber one unit left of the first event; the sheared line
+    # a*x + (b - s*a)*y = c crosses it at y = (c - a*base_x) / (b - s*a)
+    if event_list:
+        x, y, w = event_list[0][1][0]
+        base_x = Fraction(x + s * y, w) - 1
+    else:
+        base_x = Fraction(-1)
+    heights = [(c - a * base_x) / (b - s * a) for a, b, c in rows]
     order = sorted(range(m), key=heights.__getitem__)
     if len(set(heights)) != m:
         raise ArrangementError("base fiber meets a crossing; shear is degenerate")
@@ -561,7 +571,7 @@ def wiring_presentation(lines: Sequence[Line]) -> tuple:
     words = [Word.generator(i) for i in range(m)]  # position -> meridian word
     relators = []
 
-    for _, incident in event_list:
+    for _, (_, incident) in event_list:
         block = sorted(pos_of[i] for i in incident)
         k = len(block)
         p = block[0]
@@ -599,6 +609,6 @@ def wiring_presentation(lines: Sequence[Line]) -> tuple:
 
     names = [f"x{order[i] + 1}" for i in range(m)]
     pres = presentation(names, relators)
-    prov = SweepProvenance(shear=Fraction(s), base_x=Fraction(base, den),
+    prov = SweepProvenance(shear=Fraction(s), base_x=base_x,
                            wire_lines=tuple(order))
     return pres, prov

@@ -15,8 +15,7 @@ optional; without it every generator is treated as a meridian.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import groupby
-from operator import eq, neg
+from operator import neg
 from typing import Iterable, Sequence
 
 from .ringkit import Matrix, smith_normal_form_int
@@ -115,20 +114,19 @@ class Word:
         return vec
 
     def format(self, names: Sequence[str]) -> str:
-        letters = self.letters
-        if not letters:
+        if not self.letters:
             return "1"
-        # swept relators rarely repeat a letter, and per letter a plain
-        # lookup is cheaper than a groupby run; runs take the general path
-        if not any(map(eq, letters, letters[1:])):
-            return " ".join([names[x - 1] if x > 0 else f"{names[-x - 1]}^-1"
-                             for x in letters])
+        # one token per run of equal letters: a letter equal to the one
+        # before it rewrites the run's token with the new exponent
         out = []
-        for x, run in groupby(letters):
-            count = len(list(run))
-            exp = count if x > 0 else -count
-            name = names[abs(x) - 1]
-            out.append(name if exp == 1 else f"{name}^{exp}")
+        prev = run = 0
+        for x in self.letters:
+            if x == prev:
+                run += 1
+                out[-1] = f"{names[abs(x) - 1]}^{run if x > 0 else -run}"
+            else:
+                prev, run = x, 1
+                out.append(names[x - 1] if x > 0 else f"{names[-x - 1]}^-1")
         return " ".join(out)
 
     def __repr__(self):

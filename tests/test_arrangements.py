@@ -12,10 +12,11 @@ from hypothesis import assume, given, settings, strategies as st
 from alexarr.arrangements import (
     ArrangementError,
     Line,
+    _abscissas,
     _choose_shear,
+    _fixed_point_bits,
     _integer_lines,
     _lines_through_points,
-    _over_common_denominator,
     classify_arrangement,
     combinatorial_bounds,
     curve_at_infinity_bound,
@@ -417,7 +418,7 @@ def small_arrangements(draw, coef=coef):
 
 def search_shear(lines):
     rows = _integer_lines(lines)
-    return _choose_shear(rows, _over_common_denominator(_lines_through_points(rows))[1])
+    return _choose_shear(rows, list(_lines_through_points(rows)))
 
 
 @settings(max_examples=300, deadline=None)
@@ -433,12 +434,39 @@ def test_integer_points_match_fraction_oracle(lines):
     )
 
 
+@st.composite
+def point_triples(draw):
+    """Reduced triples (X, Y, W) with W up to 10**9.  Some points get a
+    partner whose abscissa u/W2 is the nearest one at or next to X/W, so
+    values closer than 1/(W*W2) or equal ones with other W occur."""
+    big = st.integers(-10**12, 10**12)
+    raw = []
+    for _ in range(draw(st.integers(1, 6))):
+        x, w = draw(big), draw(st.integers(1, 10**9))
+        raw.append((x, draw(big), w))
+        if draw(st.booleans()):
+            w2 = draw(st.sampled_from([w, 2 * w, draw(st.integers(1, 10**9))]))
+            raw.append((x * w2 // w + draw(st.integers(0, 1)), draw(big), w2))
+    return [(x // g, y // g, w // g) for x, y, w in raw for g in [gcd(x, y, w)]]
+
+
+@settings(max_examples=300, deadline=None)
+@given(point_triples(), st.integers(0, 3))
+def test_fixed_point_abscissas_order_like_fractions(points, s):
+    keys = _abscissas(points, s, _fixed_point_bits(points))
+    exact = [Fraction(x + s * y, w) for x, y, w in points]
+    for k1, f1 in zip(keys, exact):
+        for k2, f2 in zip(keys, exact):
+            assert (k1 < k2) == (f1 < f2)
+            assert (k1 == k2) == (f1 == f2)
+
+
 @settings(max_examples=300, deadline=None)
 @given(small_arrangements())
 def test_shear_search_matches_forbidden_set_oracle(lines):
     rows = _integer_lines(lines)
     by_point = _lines_through_points(rows)
-    s = _choose_shear(rows, _over_common_denominator(by_point)[1])
+    s = _choose_shear(rows, list(by_point))
     assert s == forbidden_set_shear(lines)
     # shearing the points gives the meeting points of the sheared lines
     sheared_points = {(x + s * y, y, w): idx for (x, y, w), idx in by_point.items()}
@@ -466,7 +494,7 @@ def test_shear_search_stops_when_candidates_run_out():
     # a repeated point collides under every shear: the bounded search must
     # end with an error rather than spin
     with pytest.raises(ArrangementError, match="shear search"):
-        _choose_shear(_integer_lines(lines_of((1, 0, 0))), [(0, 0)] * 2)
+        _choose_shear(_integer_lines(lines_of((1, 0, 0))), [(0, 0, 1)] * 2)
 
 
 def random_arrangement(seed, m, lo=-6, hi=6, den=1):
