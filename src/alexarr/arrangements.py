@@ -151,30 +151,31 @@ def _lines_through_points(lines: Sequence[tuple]) -> dict:
     return by_point
 
 
-def _fixed_point_bits(points) -> int:
-    """Bits B for the fixed-point form floor(v * 2**B) of the coordinates.
+def _fixed_point(points) -> list:
+    """The points (X, Y, W) of ``_lines_through_points`` as triples
+    (X * 2**B, Y * 2**B, W), B twice the bit length of the largest W.
 
-    ``points`` are triples (X, Y, W) from ``_lines_through_points``.  Two
-    distinct numbers u1/W1 and u2/W2 with integer u differ by at least
-    1/(W1*W2) > 2**-B, so their fixed-point forms differ as the numbers
-    do, and equal numbers get equal forms.  B depends only on the largest
-    W, not on how many points there are."""
-    return 2 * max((w for _, _, w in points), default=1).bit_length()
+    The fixed-point form floor(v * 2**B) of a coordinate v = u/W is then an
+    integer division.  Two distinct numbers u1/W1 and u2/W2 differ by at
+    least 1/(W1*W2) > 2**-B, so their fixed-point forms differ as the
+    numbers do, and equal numbers get equal forms.  B depends only on the
+    largest W, not on how many points there are."""
+    bits = 2 * max((w for _, _, w in points), default=1).bit_length()
+    return [(x << bits, y << bits, w) for x, y, w in points]
 
 
-def _abscissas(points, s: int, bits: int) -> list:
-    """Fixed-point abscissas floor((X + s*Y) * 2**bits / W) of the points
-    (X, Y, W) under the shear (x, y) -> (x + s*y, y)."""
-    return [(x + s * y << bits) // w for x, y, w in points]
+def _abscissas(scaled, s: int) -> list:
+    """Fixed-point abscissas of the points, ``scaled`` by ``_fixed_point``,
+    under the shear (x, y) -> (x + s*y, y)."""
+    return [(x + s * y) // w for x, y, w in scaled]
 
 
 def intersect_arrangement(lines: Sequence[Line]) -> IntersectionData:
     """Group all pairwise intersections into multiple points, exactly."""
     by_point = _lines_through_points(_integer_lines(lines))
     m = len(lines)
-    bits = _fixed_point_bits(by_point)
-    keys = zip(_abscissas(by_point, 0, bits),
-               [(y << bits) // w for _, y, w in by_point])
+    scaled = _fixed_point(by_point)
+    keys = zip(_abscissas(scaled, 0), [y // w for _, y, w in scaled])
     points = tuple(
         ((Fraction(x, w), Fraction(y, w)), tuple(sorted(idx)))
         for _, ((x, y, w), idx) in sorted(zip(keys, by_point.items()))
@@ -511,26 +512,24 @@ class SweepProvenance:
     wire_lines: tuple  # wire position (bottom to top) -> input line index
 
 
-def _choose_shear(lines: Sequence[tuple], points) -> int:
+def _choose_shear(lines: Sequence[tuple], scaled: Sequence[tuple]) -> int:
     """Smallest nonnegative integer shear making the picture sweep-generic.
 
     Under (x, y) -> (x + s*y, y) no line may become vertical and the multiple
     points must get pairwise distinct abscissas.  ``lines`` are integer
     triples (a, b, c); the sheared line a*x + (b - s*a)*y = c is vertical
-    when b = s*a.  ``points`` are the triples (X, Y, W) of the multiple
-    points, compared through their fixed-point abscissas (see
-    ``_fixed_point_bits``).  Each line and each pair of points rules out at
-    most one s, so the range searched holds an answer; a candidate costs
-    O(len(lines) + len(points)) operations on integers of about
-    log2|x| + 3*log2(max W) bits, x the largest sheared abscissa, whatever
-    the number of points.
+    when b = s*a.  ``scaled`` are the multiple points in the form of
+    ``_fixed_point``, compared through their fixed-point abscissas.  Each
+    line and each pair of points rules out at most one s, so the range
+    searched holds an answer; a candidate costs O(len(lines) + len(scaled))
+    operations on integers of about log2|x| + 3*log2(max W) bits, x the
+    largest sheared abscissa, whatever the number of points.
     """
-    n = len(points)
-    bits = _fixed_point_bits(points)
+    n = len(scaled)
     for s in range(len(lines) + n * (n - 1) // 2 + 1):
         if any(b == s * a for a, b, _ in lines):
             continue
-        if len(set(_abscissas(points, s, bits))) == n:
+        if len(set(_abscissas(scaled, s))) == n:
             return s
     raise ArrangementError("shear search ran out of candidates")
 
@@ -544,12 +543,13 @@ def wiring_presentation(lines: Sequence[Line]) -> tuple:
     """
     rows = _integer_lines(lines)
     by_point = _lines_through_points(rows)
-    s = _choose_shear(rows, list(by_point))
+    scaled = _fixed_point(by_point)
+    s = _choose_shear(rows, scaled)
     m = len(rows)
 
     # the shear maps the meeting point of two lines to that of their
     # images; events are ordered by their fixed-point sheared abscissas
-    xs = _abscissas(by_point, s, _fixed_point_bits(by_point))
+    xs = _abscissas(scaled, s)
     event_list = sorted(zip(xs, by_point.items()), key=itemgetter(0))
     if len(set(xs)) != len(xs):
         raise ArrangementError("shear failed to separate event x-coordinates")

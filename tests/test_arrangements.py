@@ -14,7 +14,7 @@ from alexarr.arrangements import (
     Line,
     _abscissas,
     _choose_shear,
-    _fixed_point_bits,
+    _fixed_point,
     _integer_lines,
     _lines_through_points,
     classify_arrangement,
@@ -418,7 +418,7 @@ def small_arrangements(draw, coef=coef):
 
 def search_shear(lines):
     rows = _integer_lines(lines)
-    return _choose_shear(rows, list(_lines_through_points(rows)))
+    return _choose_shear(rows, _fixed_point(_lines_through_points(rows)))
 
 
 @settings(max_examples=300, deadline=None)
@@ -453,7 +453,7 @@ def point_triples(draw):
 @settings(max_examples=300, deadline=None)
 @given(point_triples(), st.integers(0, 3))
 def test_fixed_point_abscissas_order_like_fractions(points, s):
-    keys = _abscissas(points, s, _fixed_point_bits(points))
+    keys = _abscissas(_fixed_point(points), s)
     exact = [Fraction(x + s * y, w) for x, y, w in points]
     for k1, f1 in zip(keys, exact):
         for k2, f2 in zip(keys, exact):
@@ -466,7 +466,7 @@ def test_fixed_point_abscissas_order_like_fractions(points, s):
 def test_shear_search_matches_forbidden_set_oracle(lines):
     rows = _integer_lines(lines)
     by_point = _lines_through_points(rows)
-    s = _choose_shear(rows, list(by_point))
+    s = _choose_shear(rows, _fixed_point(by_point))
     assert s == forbidden_set_shear(lines)
     # shearing the points gives the meeting points of the sheared lines
     sheared_points = {(x + s * y, y, w): idx for (x, y, w), idx in by_point.items()}
