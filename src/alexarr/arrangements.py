@@ -20,7 +20,13 @@ from math import gcd, lcm
 from operator import itemgetter
 from typing import Sequence
 
-from .groups import Presentation, Word, presentation
+from .groups import (
+    Presentation,
+    Word,
+    presentation,
+    reduced_inverse,
+    reduced_product,
+)
 
 
 class ArrangementError(ValueError):
@@ -534,6 +540,60 @@ def _choose_shear(lines: Sequence[tuple], scaled: Sequence[tuple]) -> int:
     raise ArrangementError("shear search ran out of candidates")
 
 
+def _cross_events(order: Sequence[int], events) -> tuple:
+    """Cross the multiple points of a sweep; return (relators, wire words).
+
+    ``order`` lists the input lines on the base fiber by wire position,
+    bottom to top, and ``events`` the sets of input lines through each
+    multiple point in sweep order.  Words are freely reduced letter tuples;
+    the relators come in event order, and the wire words are those after
+    the last event, by position.  A k-fold point costs O(k) products.
+    """
+    pos_of = {line_idx: pos for pos, line_idx in enumerate(order)}
+    wires = list(order)                           # position -> line index
+    words = [(i + 1,) for i in range(len(order))]  # position -> meridian word
+    relators = []
+
+    for incident in events:
+        block = sorted(pos_of[i] for i in incident)
+        k = len(block)
+        p = block[0]
+        if block[-1] != p + k - 1:
+            raise ArrangementError(
+                "lines through an event are not adjacent in the wire order; "
+                "geometry is inconsistent"
+            )
+        # cyclic full-twist relations: with w_1..w_k the block words top
+        # down, P_j = w_1...w_j and T = w_{j+1}...w_k, the product P_k
+        # equals its rotation T*P_j for j = k-1, ..., 1, and the relator
+        # P_k * (T*P_j)^-1 is P_k * P_j^-1 * T^-1
+        top = words[p:p + k][::-1]
+        prefixes = [top[0]]
+        for w in top[1:]:
+            prefixes.append(reduced_product(prefixes[-1], w))
+        full = prefixes[-1]
+        tail = ()
+        for j in range(k - 1, 0, -1):
+            tail = reduced_product(top[j], tail) if tail else top[j]
+            relators.append(reduced_product(
+                reduced_product(full, reduced_inverse(prefixes[j - 1])),
+                reduced_inverse(tail)))
+        # cross the block: reverse wire order; the wire at position p + t
+        # passes the t wires below it, and the product Q_t of their words
+        # bottom up conjugates it: Q_t * w * Q_t^-1 = Q_{t+1} * Q_t^-1
+        below = words[p]
+        crossed = [below]
+        for t in range(p + 1, p + k):
+            upto = reduced_product(below, words[t])
+            crossed.append(reduced_product(upto, reduced_inverse(below)))
+            below = upto
+        words[p:p + k] = crossed[::-1]
+        wires[p:p + k] = wires[p:p + k][::-1]
+        for pos in range(p, p + k):
+            pos_of[wires[pos]] = pos
+    return relators, words
+
+
 def wiring_presentation(lines: Sequence[Line]) -> tuple:
     """Present the fundamental group of the complement from a real sweep.
 
@@ -566,49 +626,9 @@ def wiring_presentation(lines: Sequence[Line]) -> tuple:
     if len(set(heights)) != m:
         raise ArrangementError("base fiber meets a crossing; shear is degenerate")
 
-    pos_of = {line_idx: pos for pos, line_idx in enumerate(order)}
-    wires = list(order)                      # position -> line index
-    words = [Word.generator(i) for i in range(m)]  # position -> meridian word
-    relators = []
-
-    for _, (_, incident) in event_list:
-        block = sorted(pos_of[i] for i in incident)
-        k = len(block)
-        p = block[0]
-        if block != list(range(p, p + k)):
-            raise ArrangementError(
-                "lines through an event are not adjacent in the wire order; "
-                "geometry is inconsistent"
-            )
-        # cyclic full-twist relations on the current block words, top down
-        seq = [words[p + k - 1 - t] for t in range(k)]
-        full = Word.identity()
-        for w in seq:
-            full = full * w
-        rotated = list(seq)
-        for _ in range(k - 1):
-            rotated = rotated[-1:] + rotated[:-1]
-            prod = Word.identity()
-            for w in rotated:
-                prod = prod * w
-            relators.append(full * prod.inverse())
-        # cross the block: reverse wire order; a wire dropping to position
-        # p + j passed under the j lowest wires, whose words conjugate it
-        new_words = list(words)
-        new_wires = list(wires)
-        for j in range(k):
-            conj = Word.identity()
-            for t in range(k - 1 - j):
-                conj = conj * words[p + t]
-            new_words[p + j] = words[p + k - 1 - j].conjugate_by(conj)
-            new_wires[p + j] = wires[p + k - 1 - j]
-        words = new_words
-        wires = new_wires
-        for pos in range(p, p + k):
-            pos_of[wires[pos]] = pos
-
+    relators, _ = _cross_events(order, [idx for _, (_, idx) in event_list])
     names = [f"x{order[i] + 1}" for i in range(m)]
-    pres = presentation(names, relators)
+    pres = presentation(names, map(Word._reduced, relators))
     prov = SweepProvenance(shear=Fraction(s), base_x=base_x,
                            wire_lines=tuple(order))
     return pres, prov

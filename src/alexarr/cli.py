@@ -15,6 +15,7 @@ routes, or the random draws of the localized route, disagree).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -306,7 +307,11 @@ def cmd_selftest(args) -> int:
     return EXIT_SELFTEST if failed else EXIT_OK
 
 
-def build_parser() -> argparse.ArgumentParser:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call and kept for the
+    process: parsing does not change it, and each call gets a fresh
+    namespace."""
     parser = argparse.ArgumentParser(
         prog="alexarr",
         description=(
@@ -357,8 +362,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except CliFailure as exc:

@@ -45,6 +45,23 @@ def free_reduce(letters: Iterable[int]) -> tuple:
     return tuple(stack)
 
 
+def reduced_product(a: tuple, b: tuple) -> tuple:
+    """Letters of the product of two freely reduced letter tuples.
+
+    Both operands are reduced, so letters cancel only where they meet."""
+    k = 0
+    for x, y in zip(reversed(a), b):
+        if x != -y:
+            break
+        k += 1
+    return a[:len(a) - k] + b[k:]
+
+
+def reduced_inverse(a: tuple) -> tuple:
+    """Letters of the inverse of a freely reduced letter tuple."""
+    return tuple(map(neg, reversed(a)))
+
+
 class Word:
     """Freely reduced word in a free group."""
 
@@ -72,21 +89,10 @@ class Word:
         return cls._reduced(())
 
     def __mul__(self, other: "Word") -> "Word":
-        # both operands are reduced, so letters cancel only where they meet
-        a, b = self.letters, other.letters
-        k = 0
-        for x, y in zip(reversed(a), b):
-            if x != -y:
-                break
-            k += 1
-        return Word._reduced(a[:len(a) - k] + b[k:])
+        return Word._reduced(reduced_product(self.letters, other.letters))
 
     def inverse(self) -> "Word":
-        return Word._reduced(tuple(map(neg, reversed(self.letters))))
-
-    def conjugate_by(self, w: "Word") -> "Word":
-        """w * self * w^-1."""
-        return w * self * w.inverse()
+        return Word._reduced(reduced_inverse(self.letters))
 
     def commutator(self, other: "Word") -> "Word":
         return self * other * self.inverse() * other.inverse()
@@ -242,7 +248,8 @@ def parse_presentation(text: str) -> Presentation:
 def serialize_presentation(p: Presentation) -> str:
     lines = ["gens: " + " ".join(p.gens)]
     for r in p.relators:
-        lines.append("rel: " + r.format(p.gens))
+        # the identity relator as "rel:", which parses back to the empty word
+        lines.append("rel: " + r.format(p.gens) if r.letters else "rel:")
     if not all(p.meridians):
         names = [g for g, flag in zip(p.gens, p.meridians) if flag]
         lines.append("meridians: " + " ".join(names))

@@ -12,8 +12,10 @@ from hypothesis import assume, given, settings, strategies as st
 from alexarr.arrangements import (
     ArrangementError,
     Line,
+    SweepProvenance,
     _abscissas,
     _choose_shear,
+    _cross_events,
     _fixed_point,
     _integer_lines,
     _lines_through_points,
@@ -28,7 +30,7 @@ from alexarr.arrangements import (
     wiring_presentation,
 )
 from alexarr.cli import main
-from alexarr.groups import Word
+from alexarr.groups import Word, presentation
 
 
 def lines_of(*abc):
@@ -570,3 +572,106 @@ def test_large_sweep(lines):
     assert sorted(prov.wire_lines) == list(range(m))
     assert sweep_generic(lines, prov.shear)
     assert not any(sweep_generic(lines, t) for t in range(int(prov.shear)))
+
+
+# ----------------------------------------------------------------------
+# the sweep's event loop against the O(k^2) loop it replaced
+
+
+def quadratic_sweep(lines):
+    """Oracle: the sweep with the event loop that rebuilds each block
+    product, each rotation and each conjugator from scratch.  Returns the
+    presentation, the provenance, the base order, the events crossed and
+    the final wire words."""
+    rows = _integer_lines(lines)
+    by_point = _lines_through_points(rows)
+    scaled = _fixed_point(by_point)
+    s = _choose_shear(rows, scaled)
+    m = len(rows)
+    xs = _abscissas(scaled, s)
+    event_list = sorted(zip(xs, by_point.items()), key=lambda e: e[0])
+    if event_list:
+        x, y, w = event_list[0][1][0]
+        base_x = Fraction(x + s * y, w) - 1
+    else:
+        base_x = Fraction(-1)
+    heights = [(c - a * base_x) / (b - s * a) for a, b, c in rows]
+    order = sorted(range(m), key=heights.__getitem__)
+    events = [idx for _, (_, idx) in event_list]
+
+    pos_of = {line_idx: pos for pos, line_idx in enumerate(order)}
+    wires = list(order)
+    words = [Word.generator(i) for i in range(m)]
+    relators = []
+    for incident in events:
+        block = sorted(pos_of[i] for i in incident)
+        k = len(block)
+        p = block[0]
+        assert block == list(range(p, p + k))
+        seq = [words[p + k - 1 - t] for t in range(k)]
+        full = Word.identity()
+        for w in seq:
+            full = full * w
+        rotated = list(seq)
+        for _ in range(k - 1):
+            rotated = rotated[-1:] + rotated[:-1]
+            prod = Word.identity()
+            for w in rotated:
+                prod = prod * w
+            relators.append(full * prod.inverse())
+        new_words = list(words)
+        new_wires = list(wires)
+        for j in range(k):
+            conj = Word.identity()
+            for t in range(k - 1 - j):
+                conj = conj * words[p + t]
+            new_words[p + j] = conj * words[p + k - 1 - j] * conj.inverse()
+            new_wires[p + j] = wires[p + k - 1 - j]
+        words = new_words
+        wires = new_wires
+        for pos in range(p, p + k):
+            pos_of[wires[pos]] = pos
+
+    pres = presentation([f"x{order[i] + 1}" for i in range(m)], relators)
+    prov = SweepProvenance(shear=Fraction(s), base_x=base_x, wire_lines=tuple(order))
+    return pres, prov, order, events, words
+
+
+def pencil_and_strays(seed, k, strays):
+    """k lines through a random lattice point, with distinct random
+    directions, plus `strays` random lines with coefficients in -2..2."""
+    rng = random.Random(seed)
+    x0, y0 = rng.randint(-3, 3), rng.randint(-3, 3)
+    lines = {}
+    while len(lines) < k:
+        a, b = rng.randint(-4, 4), rng.randint(-4, 4)
+        if (a, b) != (0, 0):
+            lines.setdefault(Line.of(a, b, a * x0 + b * y0), None)
+    while len(lines) < k + strays:
+        a, b, c = (rng.randint(-2, 2) for _ in range(3))
+        if (a, b) != (0, 0):
+            lines.setdefault(Line.of(a, b, c), None)
+    return list(lines)
+
+
+ORACLE_SWEEPS = (
+    [family_arrangement("pencil", m) for m in range(3, 11)]
+    + [family_arrangement("near-pencil", m) for m in range(2, 9)]
+    + [pencil_and_strays(seed, k, seed % 4) for seed, k in enumerate(range(3, 11))]
+    + [lines_of(*random_arrangement(seed, 3 + seed % 10, lo=-2, hi=2))
+       for seed in range(40)]
+)
+
+
+def test_sweep_matches_quadratic_oracle():
+    multiplicities = set()
+    for lines in ORACLE_SWEEPS:
+        want_pres, want_prov, order, events, want_words = quadratic_sweep(lines)
+        pres, prov = wiring_presentation(lines)
+        assert pres == want_pres
+        assert prov == want_prov
+        relators, words = _cross_events(order, events)
+        assert relators == [r.letters for r in want_pres.relators]
+        assert words == [w.letters for w in want_words]
+        multiplicities.update(map(len, events))
+    assert set(range(2, 11)) <= multiplicities

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from alexarr import cli
 from alexarr.cli import main
 from alexarr.selftest import CorpusCase, run_selftest
 from alexarr.alexinv import Delta0
@@ -202,6 +203,41 @@ def test_presentation_wiring_roundtrip(tmp_path, capsys):
     code, doc = run_json(capsys, "invariants", str(pres))
     assert code == 0
     assert doc["invariants"]["delta0"] == 3
+
+
+def test_repeated_main_calls_match_fresh_calls(tmp_path, capsys):
+    # main builds its parser once per process; calls that share it must
+    # answer as calls that build their own
+    arr = tmp_path / "pencil3.txt"
+    arr.write_text(PENCIL3)
+    dsl = tmp_path / "hopf.dsl"
+    dsl.write_text("gens: a b\nrel: a b a^-1 b^-1\n")
+    calls = [
+        ["analyze", str(arr)],
+        ["bounds", str(arr)],
+        ["invariants", str(dsl), "--route", "pid"],
+        ["analyze", str(arr), "--route", "sideways"],  # usage error
+        ["analyze", str(arr)],
+    ]
+
+    def call(argv):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    fresh = []
+    for argv in calls:
+        cli._parser.cache_clear()
+        fresh.append(call(argv))
+    cli._parser.cache_clear()
+    shared = [call(argv) for argv in calls]
+    assert cli._parser.cache_info().misses == 1
+    assert shared == fresh
+    assert [code for code, _, _ in fresh] == [0, 0, 0, 2, 0]
+    assert "invalid choice: 'sideways'" in fresh[3][2]
 
 
 def test_selftest_ok_and_filter(capsys):

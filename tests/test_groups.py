@@ -102,7 +102,7 @@ def test_word_product_cancels_at_the_seam(u, w, cut, whole):
     assert (u * u.inverse()).is_identity() and (u.inverse() * u).is_identity()
     assert u * Word.identity() == u == Word.identity() * u
     inv = tuple(-x for x in reversed(w.letters))
-    assert u.conjugate_by(w).letters == free_reduce(w.letters + u.letters + inv)
+    assert (w * u * w.inverse()).letters == free_reduce(w.letters + u.letters + inv)
 
 
 def format_oracle(letters, names):
@@ -145,6 +145,11 @@ def test_word_format_examples():
 def test_roundtrip_through_serializer():
     text = "gens: a b c\nrel: a b a^-1 b^-1\nrel: b^2 c^-3 a\nmeridians: a c\n"
     p = parse_presentation(text)
+    assert parse_presentation(serialize_presentation(p)) == p
+    # the identity relator is written "rel:", the empty word of the DSL
+    text = "gens: a b\nrel:\nrel: a b\nrel:\nmeridians: a\n"
+    p = parse_presentation(text)
+    assert serialize_presentation(p) == text
     assert parse_presentation(serialize_presentation(p)) == p
 
 
