@@ -9,11 +9,20 @@ A single left-to-right scan with prefix accumulation computes it: each
 occurrence of x_j contributes +prefix, each occurrence of x_j^-1
 contributes -prefix * x_j^-1 (with the prefix ending just before the
 letter).
+
+`alexander_matrix` needs only the images of the derivatives in Z[H], so it
+runs that scan once per relator for all generators at once, with the
+prefix replaced by its image e in H = Z^s: a letter x_i adds +t^e to row
+i and then moves e by the image q_i of x_i; a letter x_i^-1 first moves e
+by -q_i and then adds -t^e to row i.  No free-group-ring element is built.
+The calculus in the free group ring (`GroupRingElement`, `fox_derivative`,
+`ring_image`) stays as the oracle the tests check the matrix against.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import add, sub
 from typing import Mapping
 
 from .groups import AbelianizationData, Presentation, Word, free_reduce
@@ -185,14 +194,30 @@ class AlexanderMatrix:
 
 
 def alexander_matrix(p: Presentation, ab: AbelianizationData | None = None) -> AlexanderMatrix:
+    """The abelianized Fox matrix, one prefix scan per relator (see the
+    module docstring); entry (i, j) equals ring_image(fox_derivative(r_j, i))."""
     from .groups import abelianize
 
     if ab is None:
         ab = abelianize(p)
-    m = p.num_gens
-    q = p.num_relators
-    entries = [[None] * q for _ in range(m)]
-    for j, rel in enumerate(p.relators):
-        for i in range(m):
-            entries[i][j] = ring_image(fox_derivative(rel, i), ab)
-    return AlexanderMatrix(Matrix(entries, m, q), p, ab)
+    m, s = p.num_gens, ab.s
+    qmap = ab.quotient_map
+    columns = []
+    for rel in p.relators:
+        column = [{} for _ in range(m)]
+        e = (0,) * s
+        for x in rel.letters:
+            if x < 0:
+                e = tuple(map(sub, e, qmap[-x - 1]))
+            terms = column[abs(x) - 1]
+            c = terms.get(e, 0) + (1 if x > 0 else -1)
+            if c:
+                terms[e] = c
+            else:  # a +-1 summing to 0 cancels a term already there
+                del terms[e]
+            if x > 0:
+                e = tuple(map(add, e, qmap[x - 1]))
+        columns.append(column)
+    entries = [[LaurentPolynomial._trusted(s, column[i]) for column in columns]
+               for i in range(m)]
+    return AlexanderMatrix(Matrix(entries, m, len(columns)), p, ab)

@@ -16,6 +16,7 @@ positive term.
 from __future__ import annotations
 
 from math import gcd as _int_gcd
+from operator import add as _add
 from typing import Iterable, Mapping
 
 from .modp import PRIME, ModPoly, specialize
@@ -48,6 +49,16 @@ class LaurentPolynomial:
 
     def __setattr__(self, name, value):
         raise AttributeError("LaurentPolynomial is immutable")
+
+    @classmethod
+    def _trusted(cls, num_vars: int, terms: dict) -> "LaurentPolynomial":
+        """Wrap a term dict that is already clean, unscanned: every key a
+        length-num_vars tuple, every coefficient nonzero.  The arithmetic
+        below builds such dicts itself."""
+        p = object.__new__(cls)
+        object.__setattr__(p, "num_vars", num_vars)
+        object.__setattr__(p, "terms", terms)
+        return p
 
     # ------------------------------------------------------------------
     # constructors
@@ -128,12 +139,12 @@ class LaurentPolynomial:
                 terms[e] = s
             elif e in terms:
                 del terms[e]
-        return LaurentPolynomial(self.num_vars, terms)
+        return LaurentPolynomial._trusted(self.num_vars, terms)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return LaurentPolynomial(self.num_vars, {e: -c for e, c in self.terms.items()})
+        return LaurentPolynomial._trusted(self.num_vars, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
         if isinstance(other, int):
@@ -147,20 +158,20 @@ class LaurentPolynomial:
         if isinstance(other, int):
             if other == 0:
                 return LaurentPolynomial.zero(self.num_vars)
-            return LaurentPolynomial(
+            return LaurentPolynomial._trusted(
                 self.num_vars, {e: c * other for e, c in self.terms.items()}
             )
         self._check_compatible(other)
         terms: dict = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
+                e = tuple(map(_add, e1, e2))
                 s = terms.get(e, 0) + c1 * c2
                 if s:
                     terms[e] = s
                 elif e in terms:
                     del terms[e]
-        return LaurentPolynomial(self.num_vars, terms)
+        return LaurentPolynomial._trusted(self.num_vars, terms)
 
     __rmul__ = __mul__
 
@@ -208,9 +219,9 @@ class LaurentPolynomial:
 
     def shift(self, offsets: tuple) -> "LaurentPolynomial":
         """Multiply by the monomial t^offsets."""
-        return LaurentPolynomial(
+        return LaurentPolynomial._trusted(
             self.num_vars,
-            {tuple(a + b for a, b in zip(e, offsets)): c for e, c in self.terms.items()},
+            {tuple(map(_add, e, offsets)): c for e, c in self.terms.items()},
         )
 
     def permute_variables(self, perm: Iterable[int]) -> "LaurentPolynomial":
@@ -603,7 +614,10 @@ def laurent_gcd(ps: Iterable[LaurentPolynomial]) -> LaurentPolynomial:
 
     The input is consumed lazily and the fold stops as soon as the running
     gcd becomes a unit, so callers may feed an expensive generator (minor
-    enumeration) and pay only for the prefix that matters.  The gcd of an
+    enumeration) and pay only for the prefix that matters.  A running gcd
+    that divides the next term exactly is kept without a `_poly_gcd` call:
+    on some inputs it sticks at a small factor (a binomial) for a hundred
+    large terms, and the exact division costs far less.  The gcd of an
     all-zero family is zero.
     """
     it = iter(ps)
@@ -620,7 +634,10 @@ def laurent_gcd(ps: Iterable[LaurentPolynomial]) -> LaurentPolynomial:
             if p.is_zero():
                 continue
             phat = _poly_part(p)
-            g = phat if g is None else _poly_gcd(g, phat)
+            if g is None:
+                g = phat
+            elif exact_divide(phat, g) is None:
+                g = _poly_gcd(g, phat)
             if g.is_unit():
                 break
     if g is None:

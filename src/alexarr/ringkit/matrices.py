@@ -98,15 +98,26 @@ class Matrix:
         return f"Matrix({self.entries!r})"
 
 
-def _eliminate(a: list, rows: int, cols: int, size, divide) -> int:
+def _eliminate(a: list, rows: int, cols: int, size, divide, *, chain: bool) -> int:
     """Diagonalize the leading rows x cols block of a in place; return its rank.
 
     Euclidean elimination over any ring with a Euclidean function `size` and
     a division with remainder `divide(x, y) -> (q, r)`; entries test as zero
     by truth value.  Row operations act on the full width of a and column
     operations on its full height, so identity blocks bordering the leading
-    block record the transforms.  Afterwards the block is diagonal with
-    d_1 | d_2 | ... | d_rank up to units, followed by zeros.
+    block record the transforms.  Afterwards the block is diagonal, rank
+    nonzero entries followed by zeros.
+
+    With chain=True the entries form a divisibility chain d_1 | d_2 | ...
+    | d_rank up to units: after clearing each pivot's row and column, every
+    trailing entry is divided by the pivot, and an offending row is folded
+    into the pivot row.  The callers that read the entries themselves need
+    it: `smith_normal_form_int` (whose column transform gives abelianize's
+    quotient map, so every reported polynomial depends on it) and
+    `diagonalize_over_pid` (whose entries are the invariant factors).
+    `diagonalize_mod_p` passes chain=False: it reads only the rank and the
+    sum of the entries' spreads, the length of the torsion, which any
+    diagonal form gives.
     """
     width = len(a[0]) if a else 0
 
@@ -172,7 +183,7 @@ def _eliminate(a: list, rows: int, cols: int, size, divide) -> int:
             # submatrix; folding an offending row in plants a remainder.  A
             # pivot of size 0 is a unit in K[t^±1] and F_p[t^±1] (over Z the
             # size is abs, never 0), so nothing can offend it.
-            if size(a[t][t]) == 0:
+            if not chain or size(a[t][t]) == 0:
                 break
             offender = next(
                 (i for i in range(t + 1, rows) for j in range(t + 1, cols)
@@ -199,7 +210,7 @@ def smith_normal_form_int(M: Matrix) -> tuple:
     # [[M, I_rows], [I_cols, 0]]: row operations carry U, column operations V
     a = [row + e for row, e in zip(M.entries, Matrix.identity(rows).entries)]
     a += [e + [0] * rows for e in Matrix.identity(cols).entries]
-    rank = _eliminate(a, rows, cols, abs, divmod)
+    rank = _eliminate(a, rows, cols, abs, divmod, chain=True)
     for i in range(rank):
         if a[i][i] < 0:
             a[i] = [-x for x in a[i]]

@@ -140,11 +140,16 @@ def specialize(p: LaurentPolynomial, psi: Sequence[int], points: Sequence[int]) 
 
 def diagonalize_mod_p(M: Matrix) -> tuple:
     """Non-unit diagonal entries and free rank of the module presented by M
-    over F_p[t^{±1}], as `diagonalize_over_pid` returns them over K[t^{±1}].
+    over F_p[t^{±1}], in the shape `diagonalize_over_pid` returns over
+    K[t^{±1}].
 
-    The non-unit entries are left as the kernel leaves them, not monic:
-    only their spreads, which units do not change, are used.
+    The elimination runs without the divisibility-chain scan, so the
+    entries are a diagonal form but not the invariant factors (diag(t - 2,
+    t + 3) stays as it is, where the chain would give 1 and its product),
+    and they are not monic.  Only the free rank and the sum of the entries'
+    spreads, the F_p-dimension of the torsion, are meaningful; any diagonal
+    form gives both.
     """
     a = [row[:] for row in M.entries]
-    rank = _eliminate(a, M.rows, M.cols, ModPoly.spread, ModPoly.divmod_by)
+    rank = _eliminate(a, M.rows, M.cols, ModPoly.spread, ModPoly.divmod_by, chain=False)
     return [a[t][t] for t in range(rank) if a[t][t].spread() > 0], M.rows - rank

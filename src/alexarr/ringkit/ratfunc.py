@@ -369,6 +369,6 @@ def diagonalize_over_pid(M: Matrix) -> tuple:
     Returns (invariant_factors, free_rank).
     """
     a = [row[:] for row in M.entries]
-    rank = _eliminate(a, M.rows, M.cols, UniPoly.spread, UniPoly.divmod_by)
+    rank = _eliminate(a, M.rows, M.cols, UniPoly.spread, UniPoly.divmod_by, chain=True)
     factors = [a[t][t].monic() for t in range(rank) if a[t][t].spread() > 0]
     return factors, M.rows - rank

@@ -9,8 +9,9 @@ from alexarr.foxcalc import (
     alexander_matrix,
     check_fundamental_identity,
     fox_derivative,
+    ring_image,
 )
-from alexarr.groups import Word, parse_presentation
+from alexarr.groups import Word, parse_presentation, presentation
 from alexarr.ringkit import LaurentPolynomial
 
 letters = st.lists(st.sampled_from([1, -1, 2, -2, 3, -3]), max_size=12)
@@ -130,3 +131,57 @@ def test_random_single_relator_column_identity():
         p = parse_presentation(text)
         A = alexander_matrix(p)
         assert A.column_identity_holds(0)
+
+
+def assert_matrix_matches_ring_image(p):
+    """Entry (i, j) of the one-scan matrix is the image of d(r_j)/d(x_i)
+    computed in the free group ring."""
+    A = alexander_matrix(p)
+    assert (A.rows, A.cols) == (p.num_gens, p.num_relators)
+    for j, rel in enumerate(p.relators):
+        for i in range(p.num_gens):
+            entry = A.matrix.entries[i][j]
+            assert entry == ring_image(fox_derivative(rel, i), A.ab), (i, j)
+            assert all(entry.terms.values())
+            assert all(len(e) == A.ab.s for e in entry.terms)
+    return A
+
+
+def test_one_scan_matrix_matches_free_group_ring_on_random_presentations():
+    rng = random.Random(12)
+    torsion = 0
+    for _ in range(150):
+        m = rng.randint(1, 4)
+        relators = []
+        for _ in range(rng.randint(0, 4)):
+            letters = []
+            for _ in range(rng.randint(0, 5)):
+                g = rng.randint(1, m) * rng.choice([1, -1])
+                letters += [g] * rng.choice([1, 1, 2, 3])  # powers x^k, x^-k
+            relators.append(Word(letters))
+        p = presentation([f"x{i}" for i in range(m)], relators)
+        A = assert_matrix_matches_ring_image(p)
+        torsion += A.ab.s < m and A.ab.torsion_detected
+    assert torsion > 10
+
+
+def test_one_scan_matrix_with_torsion_and_an_identity_relator():
+    # a^2 b^-3 and [a, b] leave Z from a and b; c^2 and its conjugate by
+    # b^-1 a^-2 add the torsion Z/2, so s = 1 < m = 3; the identity relator
+    # gives a zero column
+    a, b = Word.generator(0), Word.generator(1)
+    p = presentation("abc", [
+        Word([1, 1, -2, -2, -2]), a.commutator(b), Word([3, 3]),
+        Word.identity(), Word([-2, -1, -1, 3, 3, 1, 1, 2])])
+    A = assert_matrix_matches_ring_image(p)
+    assert A.ab.s == 1 and A.ab.torsion_detected
+    assert all(A.matrix.entries[i][3].is_zero() for i in range(3))
+    for j in range(A.cols):
+        assert A.column_identity_holds(j)
+
+
+def test_one_scan_matrix_matches_free_group_ring_on_corpus():
+    from alexarr.selftest import corpus_cases
+
+    for case in corpus_cases():
+        assert_matrix_matches_ring_image(case.build())

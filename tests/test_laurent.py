@@ -13,6 +13,7 @@ from alexarr.ringkit import (
     laurent_gcd,
     unit_normalize,
 )
+from alexarr.ringkit.laurent import _poly_gcd, _poly_part
 
 
 def lp(num_vars, terms):
@@ -104,6 +105,30 @@ def test_no_zero_divisors_on_random_samples(data):
     q = random_poly(rng, n)
     if not p.is_zero() and not q.is_zero():
         assert not (p * q).is_zero()
+
+
+def assert_clean(p):
+    """p holds what the checking constructor would build from its terms."""
+    assert p == LaurentPolynomial(p.num_vars, dict(p.terms))
+    assert all(p.terms.values())
+    assert all(len(e) == p.num_vars for e in p.terms)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_arithmetic_results_are_clean(data):
+    # +, -, unary -, * and shift wrap their term dicts unscanned; cancelling
+    # inputs (q - q, p * -1 + p) must still leave no zero coefficient
+    rng = random.Random(data.draw(st.integers(0, 10 ** 9)))
+    n = rng.randint(0, 3)
+    p = random_poly(rng, n)
+    q = random_poly(rng, n)
+    k = rng.choice([-3, -1, 1, 2, 0])
+    offsets = tuple(rng.randint(-3, 3) for _ in range(n))
+    for result in (p + q, p + (-p), p + k, k + p, p - q, q - q, p - k, k - p, -p,
+                   p * q, p * k, k * p, p * -1 + p, (p - q) * (p + q), p.shift(offsets)):
+        assert_clean(result)
+        assert result.num_vars == n
 
 
 # ----------------------------------------------------------------------
@@ -265,6 +290,52 @@ def test_gcd_against_sympy_cross_check():
             },
         )
         assert ours == unit_normalize(theirs_lp)
+
+
+def gcd_fold_oracle(ps):
+    """The fold of laurent_gcd without its exact-division step: every term
+    goes through _poly_gcd."""
+    ps = list(ps)
+    g = None
+    for p in ps:
+        if p.is_zero():
+            continue
+        phat = _poly_part(p)
+        g = phat if g is None else _poly_gcd(g, phat)
+        if g.is_unit():
+            break
+    return LaurentPolynomial.zero(ps[0].num_vars) if g is None else unit_normalize(g)
+
+
+def test_gcd_fold_matches_the_poly_gcd_fold():
+    # families whose running gcd sticks at a binomial for many terms and then
+    # drops to a unit or a smaller factor, and random families
+    rng = random.Random(1982)
+    sticky = 0
+    for _ in range(150):
+        n = rng.randint(1, 3)
+        i = rng.randrange(n)
+        binomial = LaurentPolynomial.variable(i, n) - rng.choice([1, -1, 2])
+        if rng.random() < 0.7:
+            stuck = rng.randint(2, 8)
+            family = [binomial * random_poly(rng, n, max_terms=4) for _ in range(stuck)]
+            family += [random_poly(rng, n, max_terms=3) for _ in range(rng.randint(0, 2))]
+            sticky += 1
+        else:
+            g0 = random_poly(rng, n, max_terms=2)
+            family = [g0 * random_poly(rng, n, max_terms=3) for _ in range(rng.randint(1, 5))]
+        family = [f.shift(tuple(rng.randint(-2, 2) for _ in range(n))) * rng.choice([1, -1, 3])
+                  for f in family]
+        assert laurent_gcd(family) == gcd_fold_oracle(family)
+    assert sticky > 80
+
+
+def test_gcd_stuck_at_a_binomial_keeps_it_exactly():
+    t1, t2 = var(0), var(1)
+    b = t1 - t2
+    family = [b * (t1 + k) * (t2 - 2 * k) for k in range(1, 6)] + [b * (t1 * t2 + 3), t1 + 1]
+    assert laurent_gcd(family[:-1]) == unit_normalize(b) == gcd_fold_oracle(family[:-1])
+    assert laurent_gcd(family) == LaurentPolynomial.one(2) == gcd_fold_oracle(family)
 
 
 def test_unit_normalize_leading_sign_and_monomial_strip():

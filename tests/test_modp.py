@@ -12,6 +12,8 @@ from alexarr.ringkit import (
     ModPoly,
     degree_spread,
     diagonalize_mod_p,
+    diagonalize_over_pid,
+    grade_substitute,
     iter_minors,
     laurent_gcd,
     specialize,
@@ -82,6 +84,41 @@ def test_diagonalize_mod_p_reads_rank_and_degree():
     factors, free = diagonalize_mod_p(Matrix([[t - one, z], [z, t + one], [z, z]]))
     assert free == 1
     assert sum(f.spread() for f in factors) == 2
+
+
+def rank_and_degree(M):
+    """(free rank, sum of spreads) by the chain-free modular elimination and
+    by the exact one with the divisibility chain, for M over Z[t^±1]."""
+    mod = diagonalize_mod_p(Matrix([[specialize(p, [1], [1]) for p in row]
+                                    for row in M], len(M), len(M[0])))
+    pid = diagonalize_over_pid(Matrix([[grade_substitute(p, [1]) for p in row]
+                                       for row in M], len(M), len(M[0])))
+    return mod, pid, [(free, sum(f.spread() for f in factors)) for factors, free in (mod, pid)]
+
+
+def test_chain_free_diagonal_form_reads_rank_and_degree():
+    # coprime pivots: the divisibility chain would fold t + 3 into the row of
+    # t - 2 and end with diag(1, (t - 2)(t + 3)); without it the entries stay
+    t = LaurentPolynomial.variable(0, 1)
+    z = LaurentPolynomial.zero(1)
+    (mod_factors, _), (pid_factors, _), (mod, pid) = rank_and_degree(
+        [[t - 2, z], [z, t + 3], [z, z]])
+    assert mod == pid == (1, 2)
+    assert [f.spread() for f in mod_factors] == [1, 1]
+    assert [f.spread() for f in pid_factors] == [2]
+
+
+def test_chain_free_rank_and_degree_match_the_chain_on_random_matrices():
+    rng = random.Random(7)
+    t = LaurentPolynomial.variable(0, 1)
+    for _ in range(60):
+        rows, cols = rng.randint(1, 4), rng.randint(1, 4)
+        M = [[LaurentPolynomial(1, {(rng.randint(-1, 2),): rng.randint(-3, 3)
+                                    for _ in range(rng.randint(0, 3))})
+              * rng.choice([1, t - 2, t + 3, (t - 2) * (t + 3)])
+              for _ in range(cols)] for _ in range(rows)]
+        _, _, (mod, pid) = rank_and_degree(M)
+        assert mod == pid
 
 
 @settings(max_examples=60, deadline=None)
