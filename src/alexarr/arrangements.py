@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 from operator import itemgetter
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .groups import (
     Presentation,
@@ -37,39 +37,44 @@ class ArrangementError(ValueError):
 # lines and intersections
 
 
-@dataclass(frozen=True)
-class Line:
+class Line(NamedTuple):
     """The affine line a*x + b*y = c with (a, b) != (0, 0).
 
-    Normal form: the first nonzero of (a, b) equals 1, so parallel lines
-    share (a, b) exactly and equal lines compare equal.
+    Normal form: coprime integers with the first nonzero of (a, b)
+    positive, so equal lines compare equal.  Intersection and sweep unpack
+    the triple directly; ``str`` shows the equation scaled so that the
+    first nonzero of (a, b) is 1.
     """
 
-    a: Fraction
-    b: Fraction
-    c: Fraction
+    a: int
+    b: int
+    c: int
 
     @classmethod
     def of(cls, a, b, c) -> "Line":
-        a, b, c = Fraction(a), Fraction(b), Fraction(c)
+        """The line from rational coefficients (ints or Fractions)."""
         if a == 0 and b == 0:
             raise ArrangementError("degenerate line: a = b = 0")
-        scale = a if a != 0 else b
-        return cls(a / scale, b / scale, c / scale)
+        d = lcm(a.denominator, b.denominator, c.denominator)
+        a, b, c = (v.numerator * (d // v.denominator) for v in (a, b, c))
+        g = gcd(a, b, c) if (a or b) > 0 else -gcd(a, b, c)
+        return cls(a // g, b // g, c // g)
 
     def direction(self) -> tuple:
-        """Key identifying the parallel class."""
-        return (self.a, self.b)
+        """Key identifying the parallel class: (a, b) over gcd(a, b)."""
+        g = gcd(self.a, self.b)
+        return (self.a // g, self.b // g)
 
     def is_vertical(self) -> bool:
         return self.b == 0
 
-    def shear(self, s: Fraction) -> "Line":
+    def shear(self, s) -> "Line":
         """Image under (x, y) -> (x + s*y, y)."""
         return Line.of(self.a, self.b - s * self.a, self.c)
 
     def __str__(self):
-        return f"{self.a}*x + {self.b}*y = {self.c}"
+        a, b, c = (Fraction(v, self.a or self.b) for v in self)
+        return f"{a}*x + {b}*y = {c}"
 
 
 @dataclass(frozen=True)
@@ -79,21 +84,14 @@ class IntersectionData:
     points: ((x, y), (sorted incident line indices)) with multiplicity >= 2.
     per_line_counts[i]: multiplicities d of the points lying on line i.
     parallel_classes: partition of line indices by direction.
+    class_sizes[i]: size of the parallel class of line i.
     """
 
     m: int
     points: tuple
     per_line_counts: tuple
     parallel_classes: tuple
-
-    def class_of(self, i: int) -> tuple:
-        for cls in self.parallel_classes:
-            if i in cls:
-                return cls
-        raise IndexError(f"line index {i} out of range")
-
-    def class_size(self, i: int) -> int:
-        return len(self.class_of(i))
+    class_sizes: tuple
 
 
 def parse_arrangement(text: str) -> list:
@@ -118,25 +116,10 @@ def parse_arrangement(text: str) -> list:
     return lines
 
 
-def _integer_lines(lines: Sequence[Line]) -> list:
-    """Each line as coprime integers (a, b, c) of a*x + b*y = c.
-
-    The first nonzero of (a, b) stays positive, as in ``Line``'s normal
-    form, so equal lines give equal triples."""
-    out = []
-    for ln in lines:
-        coeffs = (ln.a, ln.b, ln.c)
-        d = lcm(*(v.denominator for v in coeffs))
-        a, b, c = (v.numerator * (d // v.denominator) for v in coeffs)
-        g = gcd(a, b, c)
-        out.append((a // g, b // g, c // g))
-    return out
-
-
-def _lines_through_points(lines: Sequence[tuple]) -> dict:
+def _lines_through_points(lines: Sequence[Line]) -> dict:
     """Map each multiple point to the set of indices of its lines.
 
-    ``lines`` are integer triples from ``_integer_lines``.  The point
+    ``lines`` are ``Line`` triples of coprime integers.  The point
     (X/W, Y/W) is keyed by the triple (X, Y, W) with W > 0 and
     gcd(X, Y, W) = 1, so equal points get equal keys and no fraction is
     built."""
@@ -178,7 +161,7 @@ def _abscissas(scaled, s: int) -> list:
 
 def intersect_arrangement(lines: Sequence[Line]) -> IntersectionData:
     """Group all pairwise intersections into multiple points, exactly."""
-    by_point = _lines_through_points(_integer_lines(lines))
+    by_point = _lines_through_points(lines)
     m = len(lines)
     scaled = _fixed_point(by_point)
     keys = zip(_abscissas(scaled, 0), [y // w for _, y, w in scaled])
@@ -191,16 +174,18 @@ def intersect_arrangement(lines: Sequence[Line]) -> IntersectionData:
         d = len(idx)
         for i in idx:
             per_line[i].append(d)
+    directions = [line.direction() for line in lines]
     classes: dict = {}
-    for i, line in enumerate(lines):
-        classes.setdefault(line.direction(), []).append(i)
+    for i, key in enumerate(directions):
+        classes.setdefault(key, []).append(i)
     parallel_classes = tuple(tuple(v) for v in sorted(classes.values()))
     data = IntersectionData(
-        m, points, tuple(tuple(sorted(c)) for c in per_line), parallel_classes
+        m, points, tuple(tuple(sorted(c)) for c in per_line), parallel_classes,
+        tuple(len(classes[key]) for key in directions),
     )
     # incidence sanity: a line meets exactly the lines outside its class
     for i in range(m):
-        k = data.class_size(i)
+        k = data.class_sizes[i]
         if sum(d - 1 for d in data.per_line_counts[i]) != m - k:
             raise ArrangementError("incidence count mismatch; geometry is inconsistent")
     return data
@@ -235,7 +220,7 @@ def _nodal_transversal_lines(data: IntersectionData) -> list:
         return []
     return [
         i for i in range(data.m)
-        if data.class_size(i) == 1 and all(d == 2 for d in data.per_line_counts[i])
+        if data.class_sizes[i] == 1 and all(d == 2 for d in data.per_line_counts[i])
     ]
 
 
@@ -361,7 +346,7 @@ def combinatorial_bounds(data: IntersectionData,
     cap = m * (m - 2)
     line_bounds = []
     for i in range(m):
-        k = data.class_size(i)
+        k = data.class_sizes[i]
         tube = sum((d - 1) ** 2 for d in data.per_line_counts[i]) - 1
         if k >= 2:
             tube += (k - 1) * (m - k)
@@ -518,11 +503,11 @@ class SweepProvenance:
     wire_lines: tuple  # wire position (bottom to top) -> input line index
 
 
-def _choose_shear(lines: Sequence[tuple], scaled: Sequence[tuple]) -> int:
+def _choose_shear(lines: Sequence[Line], scaled: Sequence[tuple]) -> int:
     """Smallest nonnegative integer shear making the picture sweep-generic.
 
     Under (x, y) -> (x + s*y, y) no line may become vertical and the multiple
-    points must get pairwise distinct abscissas.  ``lines`` are integer
+    points must get pairwise distinct abscissas.  ``lines`` are ``Line``
     triples (a, b, c); the sheared line a*x + (b - s*a)*y = c is vertical
     when b = s*a.  ``scaled`` are the multiple points in the form of
     ``_fixed_point``, compared through their fixed-point abscissas.  Each
@@ -601,11 +586,10 @@ def wiring_presentation(lines: Sequence[Line]) -> tuple:
     the line at initial wire position i (bottom to top at the base fiber);
     the provenance records which input line that is.
     """
-    rows = _integer_lines(lines)
-    by_point = _lines_through_points(rows)
+    by_point = _lines_through_points(lines)
     scaled = _fixed_point(by_point)
-    s = _choose_shear(rows, scaled)
-    m = len(rows)
+    s = _choose_shear(lines, scaled)
+    m = len(lines)
 
     # the shear maps the meeting point of two lines to that of their
     # images; events are ordered by their fixed-point sheared abscissas
@@ -621,7 +605,7 @@ def wiring_presentation(lines: Sequence[Line]) -> tuple:
         base_x = Fraction(x + s * y, w) - 1
     else:
         base_x = Fraction(-1)
-    heights = [(c - a * base_x) / (b - s * a) for a, b, c in rows]
+    heights = [(c - a * base_x) / (b - s * a) for a, b, c in lines]
     order = sorted(range(m), key=heights.__getitem__)
     if len(set(heights)) != m:
         raise ArrangementError("base fiber meets a crossing; shear is degenerate")

@@ -444,18 +444,19 @@ def _content(parts: dict) -> LaurentPolynomial:
     return g
 
 
-def _primitive(parts: dict) -> dict:
+def _primitive(parts: dict) -> tuple:
+    """(content, primitive part) of a polynomial split by ``_split_by_var``."""
     cont = _content(parts)
     if cont.is_constant() and abs(cont.constant_value()) == 1:
         if cont.constant_value() == -1:
-            return {d: -q for d, q in parts.items()}
-        return parts
+            return cont, {d: -q for d, q in parts.items()}
+        return cont, parts
     out = {}
     for d, q in parts.items():
         quot = exact_divide(q, cont)
         assert quot is not None, "content must divide every coefficient"
         out[d] = quot
-    return out
+    return cont, out
 
 
 def _pseudo_rem(a: dict, b: dict) -> dict:
@@ -597,15 +598,13 @@ def _poly_gcd(p: LaurentPolynomial, q: LaurentPolynomial) -> LaurentPolynomial:
 
     pu = _split_by_var(p, main)
     qu = _split_by_var(q, main)
-    cp = _content(pu)
-    cq = _content(qu)
+    cp, a = _primitive(pu)
+    cq, b = _primitive(qu)
     cont = _poly_gcd(cp, cq)
-    a = _primitive(pu)
-    b = _primitive(qu)
     if max(a) < max(b):
         a, b = b, a
     last = _subresultant_prs(a, b, p.num_vars)
-    g = _join_by_var(_primitive(last), main, p.num_vars)
+    g = _join_by_var(_primitive(last)[1], main, p.num_vars)
     return cont * g
 
 

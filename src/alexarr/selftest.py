@@ -88,6 +88,8 @@ class CorpusCase:
     # meridian of input line j
     delta_poly: Callable[[], LaurentPolynomial] | None = None
     delta_constant: bool = False
+    # -> the swept lines, for a swept case; its bound pipeline is checked too
+    arrangement: Callable[[], list] | None = None
 
     def build(self) -> Presentation:
         return self.present()[0]
@@ -107,12 +109,20 @@ def _family_case(family: str, m: int, delta0: Delta0, **kw) -> CorpusCase:
     )
 
 
-def _wiring_case(family: str, m: int, delta0: Delta0, **kw) -> CorpusCase:
+def _swept_case(name: str, arrangement: Callable[[], list], delta0: Delta0,
+                **kw) -> CorpusCase:
     return CorpusCase(
-        name=f"wiring-{family}-{m}",
-        present=lambda: _swept(family_arrangement(family, m)),
+        name=name,
+        present=lambda: _swept(arrangement()),
         delta0=delta0,
+        arrangement=arrangement,
         **kw,
+    )
+
+
+def _wiring_case(family: str, m: int, delta0: Delta0, **kw) -> CorpusCase:
+    return _swept_case(
+        f"wiring-{family}-{m}", lambda: family_arrangement(family, m), delta0, **kw
     )
 
 
@@ -159,17 +169,17 @@ def corpus_cases() -> list:
         cases.append(_wiring_case("generic", m, Delta0.of(0), delta_constant=True))
     # arrangements outside the closed-form families
     cases.append(
-        CorpusCase(
+        _swept_case(
             "wiring-nodal-transversal-4",
-            lambda: _swept(nodal_transversal_arrangement()),
+            nodal_transversal_arrangement,
             Delta0.of(0),
             delta_constant=True,
         )
     )
     cases.append(
-        CorpusCase(
+        _swept_case(
             "wiring-two-parallel-pairs-4",
-            lambda: _swept(two_parallel_pairs_arrangement()),
+            two_parallel_pairs_arrangement,
             Delta0.of(0),
             delta_constant=True,
         )
@@ -339,29 +349,10 @@ def check_curve_bound_table() -> CheckResult:
                        time.time() - t0)
 
 
-PIPELINE_FAMILIES = (
-    ("pencil", 3), ("pencil", 4), ("pencil", 5),
-    ("near-pencil", 3), ("near-pencil", 4), ("near-pencil", 5), ("near-pencil", 6),
-    ("generic", 3), ("generic", 4),
-    ("parallel", 2), ("parallel", 3),
-)
-
-
-def pipeline_arrangements() -> list:
-    out = [
-        (f"pipeline-{family}-{m}", family_arrangement(family, m))
-        for family, m in PIPELINE_FAMILIES
-    ]
-    out.append(("pipeline-nodal-transversal-4", nodal_transversal_arrangement()))
-    out.append(("pipeline-two-parallel-pairs-4", two_parallel_pairs_arrangement()))
-    return out
-
-
 def run_selftest(name_filter: str | None = None, cases: Iterable[CorpusCase] | None = None,
                  emit: Callable[[str], None] = print) -> tuple:
     """Run the whole corpus.  Returns (passed, failed)."""
-    if cases is None:
-        cases = corpus_cases()
+    cases = corpus_cases() if cases is None else list(cases)
     results = []
     for case in cases:
         if name_filter and name_filter not in case.name:
@@ -369,10 +360,13 @@ def run_selftest(name_filter: str | None = None, cases: Iterable[CorpusCase] | N
         results.append(check_case(case))
         if case.name in PERMUTATION_CASE_NAMES:
             results.append(check_permutation_invariance(case))
-    for name, lines in pipeline_arrangements():
+    for case in cases:
+        if case.arrangement is None:
+            continue
+        name = "pipeline-" + case.name.removeprefix("wiring-")
         if name_filter and name_filter not in name:
             continue
-        results.append(check_bound_pipeline(name, lines))
+        results.append(check_bound_pipeline(name, case.arrangement()))
     if not name_filter or name_filter in "curve-bound-table":
         results.append(check_curve_bound_table())
     passed = failed = 0

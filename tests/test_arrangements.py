@@ -17,7 +17,6 @@ from alexarr.arrangements import (
     _choose_shear,
     _cross_events,
     _fixed_point,
-    _integer_lines,
     _lines_through_points,
     classify_arrangement,
     combinatorial_bounds,
@@ -43,8 +42,8 @@ def intersection_point(l1, l2):
     det = l1.a * l2.b - l2.a * l1.b
     if det == 0:
         return None
-    x = (l1.c * l2.b - l2.c * l1.b) / det
-    y = (l1.a * l2.c - l2.a * l1.c) / det
+    x = Fraction(l1.c * l2.b - l2.c * l1.b, det)
+    y = Fraction(l1.a * l2.c - l2.a * l1.c, det)
     return (x, y)
 
 
@@ -69,6 +68,54 @@ def test_line_normal_form():
     assert Line.of(0, -3, 6) == Line.of(0, 1, -2)
     with pytest.raises(ArrangementError):
         Line.of(0, 0, 1)
+
+
+def fraction_normal_form(a, b, c):
+    """Oracle: the coefficients scaled so that the first nonzero of (a, b)
+    is 1."""
+    a, b, c = Fraction(a), Fraction(b), Fraction(c)
+    s = a if a != 0 else b
+    return a / s, b / s, c / s
+
+
+rational = st.builds(Fraction, st.integers(-12, 12), st.integers(1, 6))
+
+
+@st.composite
+def related_triples(draw):
+    """Two rational triples (a, b, c) of lines: each line is random,
+    vertical or horizontal, and the second is random, a nonzero multiple of
+    the first, or parallel to it."""
+    def line():
+        a, b, c = draw(rational), draw(rational), draw(rational)
+        kind = draw(st.sampled_from(["any", "vertical", "horizontal"]))
+        if kind == "vertical":
+            b = 0
+        elif kind == "horizontal":
+            a = 0
+        assume((a, b) != (0, 0))
+        return a, b, c
+
+    first = line()
+    k = draw(rational.filter(bool))
+    relation = draw(st.sampled_from(["random", "multiple", "parallel"]))
+    if relation == "random":
+        return first, line()
+    if relation == "multiple":
+        return first, tuple(k * v for v in first)
+    return first, (k * first[0], k * first[1], draw(rational))
+
+
+@settings(max_examples=300, deadline=None)
+@given(related_triples())
+def test_line_matches_fraction_normal_form(pair):
+    (l1, o1), (l2, o2) = ((Line.of(*abc), fraction_normal_form(*abc)) for abc in pair)
+    for line, (a, b, c) in ((l1, o1), (l2, o2)):
+        assert all(type(v) is int for v in line) and gcd(*line) == 1
+        assert (line.a or line.b) > 0
+        assert str(line) == f"{a}*x + {b}*y = {c}"
+    assert (l1 == l2) == (o1 == o2)
+    assert (l1.direction() == l2.direction()) == (o1[:2] == o2[:2])
 
 
 def test_parse_arrangement_rationals_and_errors():
@@ -113,7 +160,7 @@ def test_incidence_identity_all_families():
     for family, m in (("pencil", 5), ("near-pencil", 5), ("generic", 5), ("parallel", 4)):
         data = intersect_arrangement(family_arrangement(family, m))
         for i in range(data.m):
-            k = data.class_size(i)
+            k = data.class_sizes[i]
             assert sum(d - 1 for d in data.per_line_counts[i]) == data.m - k
 
 
@@ -372,7 +419,7 @@ def forbidden_set_shear(lines):
     forbidden = set()
     for ln in lines:
         if ln.a != 0:
-            forbidden.add(ln.b / ln.a)  # would become vertical
+            forbidden.add(Fraction(ln.b, ln.a))  # would become vertical
     pts = list(oracle_points(lines))
     for i in range(len(pts)):
         for j in range(i + 1, len(pts)):
@@ -419,14 +466,13 @@ def small_arrangements(draw, coef=coef):
 
 
 def search_shear(lines):
-    rows = _integer_lines(lines)
-    return _choose_shear(rows, _fixed_point(_lines_through_points(rows)))
+    return _choose_shear(lines, _fixed_point(_lines_through_points(lines)))
 
 
 @settings(max_examples=300, deadline=None)
 @given(st.one_of(small_arrangements(), small_arrangements(rational_coef)))
 def test_integer_points_match_fraction_oracle(lines):
-    by_point = _lines_through_points(_integer_lines(lines))
+    by_point = _lines_through_points(lines)
     assert all(w > 0 and gcd(x, y, w) == 1 for x, y, w in by_point)
     oracle = oracle_points(lines)
     assert {(Fraction(x, w), Fraction(y, w)): idx
@@ -466,15 +512,12 @@ def test_fixed_point_abscissas_order_like_fractions(points, s):
 @settings(max_examples=300, deadline=None)
 @given(small_arrangements())
 def test_shear_search_matches_forbidden_set_oracle(lines):
-    rows = _integer_lines(lines)
-    by_point = _lines_through_points(rows)
-    s = _choose_shear(rows, _fixed_point(by_point))
+    by_point = _lines_through_points(lines)
+    s = _choose_shear(lines, _fixed_point(by_point))
     assert s == forbidden_set_shear(lines)
     # shearing the points gives the meeting points of the sheared lines
     sheared_points = {(x + s * y, y, w): idx for (x, y, w), idx in by_point.items()}
-    assert sheared_points == _lines_through_points(
-        _integer_lines([ln.shear(s) for ln in lines])
-    )
+    assert sheared_points == _lines_through_points([ln.shear(s) for ln in lines])
 
 
 A3 = [(1, 0, 0), (0, 1, 0), (1, 0, 1), (0, 1, 1), (1, -1, 0)]
@@ -496,7 +539,7 @@ def test_shear_search_stops_when_candidates_run_out():
     # a repeated point collides under every shear: the bounded search must
     # end with an error rather than spin
     with pytest.raises(ArrangementError, match="shear search"):
-        _choose_shear(_integer_lines(lines_of((1, 0, 0))), [(0, 0, 1)] * 2)
+        _choose_shear(lines_of((1, 0, 0)), [(0, 0, 1)] * 2)
 
 
 def random_arrangement(seed, m, lo=-6, hi=6, den=1):
@@ -583,11 +626,10 @@ def quadratic_sweep(lines):
     product, each rotation and each conjugator from scratch.  Returns the
     presentation, the provenance, the base order, the events crossed and
     the final wire words."""
-    rows = _integer_lines(lines)
-    by_point = _lines_through_points(rows)
+    by_point = _lines_through_points(lines)
     scaled = _fixed_point(by_point)
-    s = _choose_shear(rows, scaled)
-    m = len(rows)
+    s = _choose_shear(lines, scaled)
+    m = len(lines)
     xs = _abscissas(scaled, s)
     event_list = sorted(zip(xs, by_point.items()), key=lambda e: e[0])
     if event_list:
@@ -595,7 +637,7 @@ def quadratic_sweep(lines):
         base_x = Fraction(x + s * y, w) - 1
     else:
         base_x = Fraction(-1)
-    heights = [(c - a * base_x) / (b - s * a) for a, b, c in rows]
+    heights = [(c - a * base_x) / (b - s * a) for a, b, c in lines]
     order = sorted(range(m), key=heights.__getitem__)
     events = [idx for _, (_, idx) in event_list]
 

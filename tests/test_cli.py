@@ -8,6 +8,7 @@ from alexarr import cli
 from alexarr.cli import main
 from alexarr.selftest import CorpusCase, run_selftest
 from alexarr.alexinv import Delta0
+from alexarr.groups import parse_presentation
 
 
 PENCIL3 = "line: 0 1 0\nline: 1 -1 0\nline: 1 1 0\n"
@@ -313,12 +314,12 @@ def test_selftest_corrupted_corpus_entry_fails_by_name():
     # a case with a wrong expected value must fail and be named
     bad = CorpusCase(
         "corrupted-entry",
-        lambda: __import__("alexarr.groups", fromlist=["parse_presentation"])
-        .parse_presentation("gens: a b\nrel: a b a^-1 b^-1\n"),
+        lambda: (parse_presentation("gens: a b\nrel: a b a^-1 b^-1\n"), None),
         Delta0.of(7),
     )
     lines = []
     passed, failed = run_selftest(cases=[bad], name_filter="corrupted",
                                   emit=lines.append)
     assert failed == 1
-    assert any("corrupted-entry" in ln and "FAIL" in ln for ln in lines)
+    assert any("corrupted-entry" in ln and "FAIL" in ln and "expected 7" in ln
+               for ln in lines)
