@@ -525,6 +525,10 @@ def _choose_shear(lines: Sequence[Line], scaled: Sequence[tuple]) -> int:
     raise ArrangementError("shear search ran out of candidates")
 
 
+_NOT_ADJACENT = ("lines through an event are not adjacent in the wire order; "
+                 "geometry is inconsistent")
+
+
 def _cross_events(order: Sequence[int], events) -> tuple:
     """Cross the multiple points of a sweep; return (relators, wire words).
 
@@ -532,7 +536,11 @@ def _cross_events(order: Sequence[int], events) -> tuple:
     bottom to top, and ``events`` the sets of input lines through each
     multiple point in sweep order.  Words are freely reduced letter tuples;
     the relators come in event order, and the wire words are those after
-    the last event, by position.  A k-fold point costs O(k) products.
+    the last event, by position.  A k-fold point costs O(k) products.  A
+    double point, most events of a sweep, costs five products and two
+    inverses: with w1 the lower word and w2 the upper, its relator is
+    w2*w1*w2^-1*w1^-1, the two wires swap, and the lower one's word
+    becomes w1*w2*w1^-1.
     """
     pos_of = {line_idx: pos for pos, line_idx in enumerate(order)}
     wires = list(order)                           # position -> line index
@@ -540,14 +548,27 @@ def _cross_events(order: Sequence[int], events) -> tuple:
     relators = []
 
     for incident in events:
+        if len(incident) == 2:
+            i, j = incident
+            p, q = pos_of[i], pos_of[j]
+            if p > q:
+                p, q = q, p
+            if q != p + 1:
+                raise ArrangementError(_NOT_ADJACENT)
+            w1, w2 = words[p], words[q]
+            w1_inv = reduced_inverse(w1)
+            relators.append(reduced_product(reduced_product(
+                reduced_product(w2, w1), reduced_inverse(w2)), w1_inv))
+            words[p] = reduced_product(reduced_product(w1, w2), w1_inv)
+            words[q] = w1
+            wires[p], wires[q] = wires[q], wires[p]
+            pos_of[i], pos_of[j] = pos_of[j], pos_of[i]
+            continue
         block = sorted(pos_of[i] for i in incident)
         k = len(block)
         p = block[0]
         if block[-1] != p + k - 1:
-            raise ArrangementError(
-                "lines through an event are not adjacent in the wire order; "
-                "geometry is inconsistent"
-            )
+            raise ArrangementError(_NOT_ADJACENT)
         # cyclic full-twist relations: with w_1..w_k the block words top
         # down, P_j = w_1...w_j and T = w_{j+1}...w_k, the product P_k
         # equals its rotation T*P_j for j = k-1, ..., 1, and the relator
@@ -598,16 +619,24 @@ def wiring_presentation(lines: Sequence[Line]) -> tuple:
     if len(set(xs)) != len(xs):
         raise ArrangementError("shear failed to separate event x-coordinates")
 
-    # base fiber one unit left of the first event; the sheared line
-    # a*x + (b - s*a)*y = c crosses it at y = (c - a*base_x) / (b - s*a)
+    # base fiber one unit left of the first event, at x = N/D; the sheared
+    # line a*x + (b - s*a)*y = c crosses it at the height
+    # (c*D - a*N) / (D*(b - s*a)), ordered by its fixed-point form as in
+    # _fixed_point, with B twice the bit length of the largest denominator
     if event_list:
         x, y, w = event_list[0][1][0]
-        base_x = Fraction(x + s * y, w) - 1
+        num_x, den_x = x + s * y - w, w
     else:
-        base_x = Fraction(-1)
-    heights = [(c - a * base_x) / (b - s * a) for a, b, c in lines]
-    order = sorted(range(m), key=heights.__getitem__)
-    if len(set(heights)) != m:
+        num_x, den_x = -1, 1
+    base_x = Fraction(num_x, den_x)
+    heights = []
+    for a, b, c in lines:
+        num, den = c * den_x - a * num_x, den_x * (b - s * a)
+        heights.append((num, den) if den > 0 else (-num, -den))
+    bits = 2 * max(den for _, den in heights).bit_length()
+    keys = [(num << bits) // den for num, den in heights]
+    order = sorted(range(m), key=keys.__getitem__)
+    if len(set(keys)) != m:
         raise ArrangementError("base fiber meets a crossing; shear is degenerate")
 
     relators, _ = _cross_events(order, [idx for _, (_, idx) in event_list])

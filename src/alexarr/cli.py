@@ -93,9 +93,13 @@ def _bounds_json(data: IntersectionData, label: ClassLabel) -> object:
 
 
 def _emit(text: str, out: str | None) -> None:
-    """Write a report or a DSL text to --out, or else to standard output."""
+    """Write a report or a DSL text to --out, or else to standard output;
+    an unwritable --out is exit 2, as an unreadable input is."""
     if out:
-        Path(out).write_text(text, encoding="utf-8")
+        try:
+            Path(out).write_text(text, encoding="utf-8")
+        except OSError as exc:
+            raise CliFailure(EXIT_PARSE, f"cannot write {out}: {exc}") from None
     else:
         sys.stdout.write(text)
 

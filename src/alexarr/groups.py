@@ -15,7 +15,7 @@ optional; without it every generator is treated as a meridian.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import neg
+from operator import eq, neg
 from typing import Iterable, Sequence
 
 from .ringkit import Matrix, smith_normal_form_int
@@ -154,9 +154,11 @@ class Presentation:
             raise PresentationError("duplicate generator name")
         if len(self.meridians) != len(self.gens):
             raise PresentationError("meridian flags must match generators")
-        for r in self.relators:
-            if r.max_generator() >= len(self.gens):
-                raise PresentationError("relator references unknown generator")
+        # one pass over all letters at C level: letters lie in [-m, m]
+        m = len(self.gens)
+        letters = set().union(*(r.letters for r in self.relators))
+        if letters and (max(letters) > m or min(letters) < -m):
+            raise PresentationError("relator references unknown generator")
 
     @property
     def num_gens(self) -> int:
@@ -246,10 +248,25 @@ def parse_presentation(text: str) -> Presentation:
 
 
 def serialize_presentation(p: Presentation) -> str:
-    lines = ["gens: " + " ".join(p.gens)]
+    """The DSL text of a presentation; ``parse_presentation`` reads it back.
+
+    One token table serves every relator: ``token[x]`` is the name of
+    letter x > 0 and the inverse token of x < 0 (negative indices count
+    from the end).  A relator without two equal adjacent letters is its
+    letters' tokens joined; one with runs goes through ``Word.format``,
+    which writes a run as one power.  The identity relator is "rel:",
+    which parses back to the empty word."""
+    gens = p.gens
+    token = ["", *gens, *(g + "^-1" for g in reversed(gens))]
+    lines = ["gens: " + " ".join(gens)]
     for r in p.relators:
-        # the identity relator as "rel:", which parses back to the empty word
-        lines.append("rel: " + r.format(p.gens) if r.letters else "rel:")
+        x = r.letters
+        if not x:
+            lines.append("rel:")
+        elif any(map(eq, x, x[1:])):
+            lines.append("rel: " + r.format(gens))
+        else:
+            lines.append("rel: " + " ".join(map(token.__getitem__, x)))
     if not all(p.meridians):
         names = [g for g, flag in zip(p.gens, p.meridians) if flag]
         lines.append("meridians: " + " ".join(names))

@@ -225,7 +225,7 @@ class CheckResult:
 
 
 def check_case(case: CorpusCase) -> CheckResult:
-    t0 = time.time()
+    t0 = time.perf_counter()
     try:
         pres, wire_order = case.present()
         report = compute_invariants(pres, routes="both")
@@ -234,7 +234,7 @@ def check_case(case: CorpusCase) -> CheckResult:
         except InconsistentPresentationError:
             exact = None
     except Exception as exc:  # a corpus case must never raise
-        return CheckResult(case.name, False, f"exception: {exc}", time.time() - t0)
+        return CheckResult(case.name, False, f"exception: {exc}", time.perf_counter() - t0)
     problems = []
     if report.delta0_pid_route != exact:
         problems.append(
@@ -259,12 +259,12 @@ def check_case(case: CorpusCase) -> CheckResult:
         report.alexander_poly.is_constant() and not report.alexander_poly.is_zero()
     ):
         problems.append(f"polynomial {report.alexander_poly} is not a nonzero constant")
-    return CheckResult(case.name, not problems, "; ".join(problems), time.time() - t0)
+    return CheckResult(case.name, not problems, "; ".join(problems), time.perf_counter() - t0)
 
 
 def check_permutation_invariance(case: CorpusCase) -> CheckResult:
     """The localized route must not depend on which variable splits off."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     pres = case.build()
     from .foxcalc import alexander_matrix
 
@@ -277,14 +277,14 @@ def check_permutation_invariance(case: CorpusCase) -> CheckResult:
         f"{case.name}-distinguished-variable",
         ok,
         "" if ok else f"values differ across distinguished variables: {sorted(values)}",
-        time.time() - t0,
+        time.perf_counter() - t0,
     )
 
 
 def check_bound_pipeline(name: str, lines: list) -> CheckResult:
     """Swept arrangements: classification, bounds, closed forms, and the
     computed degree must all be mutually consistent."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     data = intersect_arrangement(lines)
     label = classify_arrangement(data)
     pres, _ = wiring_presentation(lines)
@@ -310,13 +310,13 @@ def check_bound_pipeline(name: str, lines: list) -> CheckResult:
             problems.append(
                 f"closed form {verdict.value} != computed {report.delta0}"
             )
-    return CheckResult(name, not problems, "; ".join(problems), time.time() - t0)
+    return CheckResult(name, not problems, "; ".join(problems), time.perf_counter() - t0)
 
 
 def check_curve_bound_table() -> CheckResult:
     """Bound table over small degrees: the intermediate value, the cap, and
     the equality at r = m - 1."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     problems = []
     for m in range(2, 7):
         for r in range(1, m + 1):
@@ -346,7 +346,7 @@ def check_curve_bound_table() -> CheckResult:
                 if rep.bound != m * (m - 2):
                     problems.append(f"(m={m},r={r}): general position bound wrong")
     return CheckResult("curve-bound-table", not problems, "; ".join(problems),
-                       time.time() - t0)
+                       time.perf_counter() - t0)
 
 
 def run_selftest(name_filter: str | None = None, cases: Iterable[CorpusCase] | None = None,

@@ -1,6 +1,10 @@
 """CLI behavior: reports, exit codes, determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -102,6 +106,16 @@ def test_analyze_parse_error_exit_2(tmp_path, capsys, command):
     empty = tmp_path / "empty.txt"
     empty.write_text("# no lines\n")
     assert main([command, str(empty)]) == 2
+
+
+@pytest.mark.parametrize("command", ["analyze", "bounds", "invariants", "presentation"])
+def test_unwritable_out_exit_2(tmp_path, capsys, command):
+    f = tmp_path / "input.txt"
+    f.write_text("gens: a b\nrel: a b a^-1 b^-1\n" if command == "invariants" else PENCIL3)
+    out = tmp_path / "no" / "such" / "dir" / "x.json"
+    assert main([command, str(f), "--out", str(out)]) == 2
+    assert f"error: cannot write {out}: " in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command", ["analyze", "bounds", "presentation"])
@@ -245,6 +259,17 @@ def test_selftest_ok_and_filter(capsys):
     assert main(["selftest", "--filter", "dsl-hopf"]) == 0
     out = capsys.readouterr().out
     assert "dsl-hopf" in out and "FAIL" not in out
+
+
+def test_python_dash_m_runs_the_cli():
+    root = Path(__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-m", "alexarr", "selftest", "--filter", "family-pencil-3"],
+        cwd=root, env={**os.environ, "PYTHONPATH": str(root / "src")},
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "family-pencil-3" in proc.stdout and "FAIL" not in proc.stdout
 
 
 def test_selftest_failure_exit_code(monkeypatch, capsys):

@@ -1,9 +1,10 @@
 """Presentation DSL, free words, abelianization."""
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from alexarr.groups import (
+    Presentation,
     PresentationError,
     Word,
     abelianize,
@@ -151,6 +152,59 @@ def test_roundtrip_through_serializer():
     p = parse_presentation(text)
     assert serialize_presentation(p) == text
     assert parse_presentation(serialize_presentation(p)) == p
+
+
+GEN_NAMES = ("a", "b", "c", "x1", "x10", "g_2")
+
+
+@st.composite
+def presentations(draw):
+    """Random presentations: plain words, words with runs of either sign,
+    single letters, identity relators, and any meridian flags."""
+    m = draw(st.integers(1, 4))
+    gens = draw(st.lists(st.sampled_from(GEN_NAMES), min_size=m, max_size=m, unique=True))
+    letter = st.integers(1, m).flatmap(lambda i: st.sampled_from([i, -i]))
+    plain = st.lists(letter, max_size=8)
+    with_runs = st.lists(st.tuples(letter, st.integers(1, 4)), max_size=5).map(
+        lambda rs: [x for x, n in rs for _ in range(n)])
+    rels = draw(st.lists(st.one_of(plain, with_runs).map(Word), max_size=6))
+    flags = draw(st.lists(st.booleans(), min_size=m, max_size=m))
+    return presentation(gens, rels, flags)
+
+
+def serialize_oracle(p):
+    lines = ["gens: " + " ".join(p.gens)]
+    lines += ["rel: " + r.format(p.gens) if r.letters else "rel:" for r in p.relators]
+    if not all(p.meridians):
+        lines.append("meridians: " + " ".join(g for g, f in zip(p.gens, p.meridians) if f))
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=300, deadline=None)
+@given(presentations())
+@example(presentation(
+    ["a", "b", "c"],
+    [Word([1, 1, 1, -2, -2]), Word([2]), Word([-3]), Word(), Word([1, 2, -1, -2, 3, -3])],
+    [True, False, True],
+))
+def test_serializer_matches_per_word_format(p):
+    text = serialize_presentation(p)
+    assert text == serialize_oracle(p)
+    assert parse_presentation(text) == p
+
+
+@pytest.mark.parametrize("m", [1, 2, 5])
+def test_generator_index_check_at_its_boundary(m):
+    gens = [f"g{i}" for i in range(m)]
+    flags = (True,) * m
+    edge = (Word([m]), Word([-m]))
+    assert presentation(gens, edge).relators == edge
+    assert Presentation(tuple(gens), edge, flags).relators == edge
+    for bad in (m + 1, -(m + 1)):
+        with pytest.raises(PresentationError, match="relator references unknown generator"):
+            presentation(gens, [Word([1]), Word([bad])])
+        with pytest.raises(PresentationError, match="relator references unknown generator"):
+            Presentation(tuple(gens), (Word([bad]),), flags)
 
 
 def test_abelianize_commutator_is_full_rank():
