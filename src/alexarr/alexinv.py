@@ -23,10 +23,11 @@ full enumeration survives only as the oracle in the tests.  The gcd stops
 at the first unit, and `iter_minors` visits the column sets in a spread
 order, so an input with Delta = 1 stops after a few minors.
 
-Route two localizes: every variable is rewritten as u_i * t (u_1 = 1), and
-the module is diagonalized over the PID K[t^{±1}], K the rational-function
-field in the u's; the free rank and the total t-degree of the torsion give
-the answer.  `delta0_via_pid` specializes the u's at a random point of
+Route two localizes: every variable is rewritten as u_i * t, with u = 1
+for one distinguished variable (the first, by default), and the module is
+diagonalized over the PID K[t^{±1}], K the rational-function field in the
+other u's; the free rank and the total t-degree of the torsion give the
+answer.  `delta0_via_pid` specializes the u's at a random point of
 (F_p^*)^(s-1), p = 2^61 - 1, and diagonalizes over F_p[t^{±1}] with the one
 elimination kernel; three independent draws must agree.
 `delta0_via_pid_exact` keeps the exact arithmetic over K as the oracle of
@@ -188,18 +189,8 @@ def delta0_via_degree(source) -> Delta0:
 
 
 def _substituted_matrix(A: AlexanderMatrix, distinguished: int) -> Matrix:
-    s = A.num_vars
-    perm = [distinguished] + [k for k in range(s) if k != distinguished]
-    psi = [1] * s
-    entries = []
-    for row in A.matrix.entries:
-        out = []
-        for p in row:
-            if distinguished:
-                p = p.permute_variables(perm)
-            out.append(grade_substitute(p, psi))
-        entries.append(out)
-    return Matrix(entries, A.rows, A.cols)
+    return Matrix([[grade_substitute(p, distinguished) for p in row]
+                   for row in A.matrix.entries], A.rows, A.cols)
 
 
 def _localized_matrix(source, distinguished: int) -> AlexanderMatrix:

@@ -81,7 +81,9 @@ class Line(NamedTuple):
 class IntersectionData:
     """Multiple points and parallel structure of an arrangement.
 
-    points: ((x, y), (sorted incident line indices)) with multiplicity >= 2.
+    points: ((X, Y, W), (sorted incident line indices)) with multiplicity
+        >= 2, the point (X/W, Y/W) as a reduced integer triple with W > 0,
+        sorted by x, then y.
     per_line_counts[i]: multiplicities d of the points lying on line i.
     parallel_classes: partition of line indices by direction.
     class_sizes[i]: size of the parallel class of line i.
@@ -141,7 +143,7 @@ def _lines_through_points(lines: Sequence[Line]) -> dict:
 
 
 def _fixed_point(points) -> list:
-    """The points (X, Y, W) of ``_lines_through_points`` as triples
+    """Points (X, Y, W), W > 0, standing for (X/W, Y/W), as triples
     (X * 2**B, Y * 2**B, W), B twice the bit length of the largest W.
 
     The fixed-point form floor(v * 2**B) of a coordinate v = u/W is then an
@@ -166,8 +168,8 @@ def intersect_arrangement(lines: Sequence[Line]) -> IntersectionData:
     scaled = _fixed_point(by_point)
     keys = zip(_abscissas(scaled, 0), [y // w for _, y, w in scaled])
     points = tuple(
-        ((Fraction(x, w), Fraction(y, w)), tuple(sorted(idx)))
-        for _, ((x, y, w), idx) in sorted(zip(keys, by_point.items()))
+        (pt, tuple(sorted(idx)))
+        for _, (pt, idx) in sorted(zip(keys, by_point.items()))
     )
     per_line: list = [[] for _ in range(m)]
     for _, idx in points:
@@ -471,7 +473,7 @@ def family_arrangement(family: str, m: int) -> list:
     _check_family(family, m)
     if family == FAMILY_PENCIL:
         # m distinct slopes through the origin
-        return [Line.of(Fraction(i), 1, 0) for i in range(m)]
+        return [Line.of(i, 1, 0) for i in range(m)]
     if family == FAMILY_NEAR_PENCIL:
         out = [Line.of(0, 1, i) for i in range(m - 1)]  # y = 0, 1, ..., m-2
         out.append(Line.of(1, 0, 0))                    # x = 0
@@ -480,7 +482,7 @@ def family_arrangement(family: str, m: int) -> list:
         return [Line.of(0, 1, i) for i in range(m)]
     # generic: tangent lines to the parabola y = x^2/2 at x = 1, 2, ...: any
     # two meet, no three concurrent, slopes pairwise distinct
-    return [Line.of(Fraction(i), -1, Fraction(i * i, 2)) for i in range(1, m + 1)]
+    return [Line.of(2 * i, -2, i * i) for i in range(1, m + 1)]
 
 
 # ----------------------------------------------------------------------
@@ -498,9 +500,12 @@ def family_arrangement(family: str, m: int) -> list:
 
 @dataclass(frozen=True)
 class SweepProvenance:
-    shear: Fraction
-    base_x: Fraction
-    wire_lines: tuple  # wire position (bottom to top) -> input line index
+    """The integer shear s of (x, y) -> (x + s*y, y) the sweep ran under,
+    and the input line index of each wire at the base fiber, bottom to
+    top."""
+
+    shear: int
+    wire_lines: tuple
 
 
 def _choose_shear(lines: Sequence[Line], scaled: Sequence[tuple]) -> int:
@@ -621,20 +626,18 @@ def wiring_presentation(lines: Sequence[Line]) -> tuple:
 
     # base fiber one unit left of the first event, at x = N/D; the sheared
     # line a*x + (b - s*a)*y = c crosses it at the height
-    # (c*D - a*N) / (D*(b - s*a)), ordered by its fixed-point form as in
-    # _fixed_point, with B twice the bit length of the largest denominator
+    # (c*D - a*N) / (D*(b - s*a)); heights h are ordered as the abscissas
+    # of the points (h, 0)
     if event_list:
         x, y, w = event_list[0][1][0]
         num_x, den_x = x + s * y - w, w
     else:
         num_x, den_x = -1, 1
-    base_x = Fraction(num_x, den_x)
     heights = []
     for a, b, c in lines:
         num, den = c * den_x - a * num_x, den_x * (b - s * a)
-        heights.append((num, den) if den > 0 else (-num, -den))
-    bits = 2 * max(den for _, den in heights).bit_length()
-    keys = [(num << bits) // den for num, den in heights]
+        heights.append((num, 0, den) if den > 0 else (-num, 0, -den))
+    keys = _abscissas(_fixed_point(heights), 0)
     order = sorted(range(m), key=keys.__getitem__)
     if len(set(keys)) != m:
         raise ArrangementError("base fiber meets a crossing; shear is degenerate")
@@ -642,6 +645,4 @@ def wiring_presentation(lines: Sequence[Line]) -> tuple:
     relators, _ = _cross_events(order, [idx for _, (_, idx) in event_list])
     names = [f"x{order[i] + 1}" for i in range(m)]
     pres = presentation(names, map(Word._reduced, relators))
-    prov = SweepProvenance(shear=Fraction(s), base_x=base_x,
-                           wire_lines=tuple(order))
-    return pres, prov
+    return pres, SweepProvenance(shear=s, wire_lines=tuple(order))

@@ -9,7 +9,8 @@ Commands:
 
 Exit codes: 0 success, 1 selftest failure, 2 parse/usage error,
 3 geometric inconsistency, 4 internal invariant violation (the two degree
-routes, or the random draws of the localized route, disagree).
+routes, or the random draws of the localized route, disagree, or under
+--route both the localized route could not run).
 """
 
 from __future__ import annotations
@@ -110,7 +111,8 @@ def _emit_json(doc: dict, out: str | None) -> None:
 
 def _emit_invariants(doc: dict, report: InvariantReport, args) -> None:
     """Write doc with the invariants of report added; after writing, fail
-    with exit 4 if both routes ran and disagree."""
+    with exit 4 under --route both if the two routes disagree or the
+    localized route could not run."""
     doc["invariants"] = {
         "s": report.s,
         "alexander_polynomial": report.alexander_poly.format(),
@@ -128,6 +130,10 @@ def _emit_invariants(doc: dict, report: InvariantReport, args) -> None:
     doc["notes"] = list(report.notes)
     _emit_json(doc, args.out)
     if args.route == "both" and not report.route_agreement:
+        if report.delta0_pid_route is None:
+            # compute_invariants records the reason as its last warning
+            raise CliFailure(EXIT_INTERNAL,
+                             f"the localized route did not run: {report.warnings[-1]}")
         raise CliFailure(EXIT_INTERNAL, "the two degree routes disagree")
 
 

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from operator import add, sub
 from typing import Mapping
 
-from .groups import AbelianizationData, Presentation, Word, free_reduce
+from .groups import AbelianizationData, Presentation, Word, abelianize, free_reduce
 from .ringkit import LaurentPolynomial, Matrix
 
 
@@ -196,8 +196,6 @@ class AlexanderMatrix:
 def alexander_matrix(p: Presentation, ab: AbelianizationData | None = None) -> AlexanderMatrix:
     """The abelianized Fox matrix, one prefix scan per relator (see the
     module docstring); entry (i, j) equals ring_image(fox_derivative(r_j, i))."""
-    from .groups import abelianize
-
     if ab is None:
         ab = abelianize(p)
     m, s = p.num_gens, ab.s

@@ -81,8 +81,8 @@ class Word:
         return w
 
     @classmethod
-    def generator(cls, index: int, power: int = 1) -> "Word":
-        return cls([index + 1 if power > 0 else -(index + 1)] * abs(power))
+    def generator(cls, index: int) -> "Word":
+        return cls._reduced((index + 1,))
 
     @classmethod
     def identity(cls) -> "Word":

@@ -38,12 +38,7 @@ class LaurentPolynomial:
                         f"exponent vector {exps!r} has length {len(exps)}, expected {num_vars}"
                     )
                 if coeff:
-                    e = tuple(exps)
-                    c = clean.get(e, 0) + coeff
-                    if c:
-                        clean[e] = c
-                    elif e in clean:
-                        del clean[e]
+                    clean[tuple(exps)] = coeff
         object.__setattr__(self, "num_vars", num_vars)
         object.__setattr__(self, "terms", clean)
 
@@ -245,12 +240,12 @@ class LaurentPolynomial:
     # ------------------------------------------------------------------
     # rendering
 
-    def format(self, names: list | None = None) -> str:
-        """Render in graded-lexicographic order, highest monomials first."""
+    def format(self) -> str:
+        """Render in graded-lexicographic order, highest monomials first,
+        the variables named t1, t2, ..."""
         if self.is_zero():
             return "0"
-        if names is None:
-            names = [f"t{i + 1}" for i in range(self.num_vars)]
+        names = [f"t{i + 1}" for i in range(self.num_vars)]
         items = sorted(self.terms.items(), key=lambda ec: (sum(ec[0]), ec[0]), reverse=True)
         pieces = []
         for e, c in items:
@@ -527,24 +522,18 @@ def _mod_uni_gcd_degree(a: ModPoly, b: ModPoly) -> int:
 
 def _gcd_free_of(p: LaurentPolynomial, q: LaurentPolynomial, main: int) -> bool:
     """Sound one-sided test: True proves gcd(p, q) has degree 0 in variable
-    main.  Specializing the other variables maps the true gcd onto a divisor
-    of the specialized gcd as long as the leading coefficient survives, so a
-    degree-zero specialized gcd is a certificate.  The degree is the
-    ordinary one, powers of the main variable included: the constant
-    coefficient may collapse, so a spread-zero Laurent gcd proves nothing."""
-    for salt in range(4):
-        points = [
-            pow(5, 7 * i + salt + 1, PRIME) % 1000003 + 2
-            for i in range(p.num_vars)
-        ]
-        ca = _specialized_coeffs(p, main, points)
-        cb = _specialized_coeffs(q, main, points)
-        if ca is None or cb is None:
-            continue
-        if _mod_uni_gcd_degree(ca, cb) == 0:
-            return True
-        return False
-    return False
+    main.  Specializing the other variables at one fixed point maps the
+    true gcd onto a divisor of the specialized gcd as long as the leading
+    coefficients survive, so a degree-zero specialized gcd is a
+    certificate.  The degree is the ordinary one, powers of the main
+    variable included: the constant coefficient may collapse, so a
+    spread-zero Laurent gcd proves nothing.  A collapsed leading
+    coefficient gives False, which only sends the caller to the
+    subresultant pseudo-remainder sequence."""
+    points = [pow(5, 7 * i + 1, PRIME) % 1000003 + 2 for i in range(p.num_vars)]
+    ca = _specialized_coeffs(p, main, points)
+    cb = _specialized_coeffs(q, main, points)
+    return ca is not None and cb is not None and _mod_uni_gcd_degree(ca, cb) == 0
 
 
 def _monomial_gcd_with(p: LaurentPolynomial, q: LaurentPolynomial) -> LaurentPolynomial:

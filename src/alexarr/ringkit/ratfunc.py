@@ -69,32 +69,25 @@ class RationalFunction:
         return self.num == self.den
 
     def __add__(self, other):
-        other = self._coerce(other)
+        other = self._checked(other)
         num = self.num * other.den + other.num * self.den
         return RationalFunction(num, self.den * other.den)
-
-    __radd__ = __add__
 
     def __neg__(self):
         return RationalFunction(-self.num, self.den, _canonical=True)
 
     def __sub__(self, other):
-        return self + (-self._coerce(other))
-
-    def __rsub__(self, other):
-        return (-self) + other
+        return self + (-self._checked(other))
 
     def __mul__(self, other):
-        other = self._coerce(other)
+        other = self._checked(other)
         # cross-cancel before multiplying to keep parts small
         a, d = _reduce(self.num, other.den)
         c, b = _reduce(other.num, self.den)
         return RationalFunction(a * c, b * d)
 
-    __rmul__ = __mul__
-
     def __truediv__(self, other):
-        other = self._coerce(other)
+        other = self._checked(other)
         if other.is_zero():
             raise ZeroDivisionError("division by zero rational function")
         return self * RationalFunction(other.den, other.num, _canonical=False)
@@ -104,20 +97,14 @@ class RationalFunction:
             raise ZeroDivisionError("inverse of zero")
         return RationalFunction(self.den, self.num)
 
-    def _coerce(self, other) -> "RationalFunction":
-        if isinstance(other, RationalFunction):
-            if other.num_vars != self.num_vars:
-                raise ValueError("variable-count mismatch")
-            return other
-        if isinstance(other, int):
-            return RationalFunction.constant(other, self.num_vars)
-        if isinstance(other, LaurentPolynomial):
-            return RationalFunction(other)
-        return NotImplemented
+    def _checked(self, other) -> "RationalFunction":
+        if not isinstance(other, RationalFunction):
+            raise TypeError(f"expected a RationalFunction, not {type(other).__name__}")
+        if other.num_vars != self.num_vars:
+            raise ValueError("variable-count mismatch")
+        return other
 
     def __eq__(self, other):
-        if isinstance(other, int):
-            other = RationalFunction.constant(other, self.num_vars)
         if not isinstance(other, RationalFunction):
             return NotImplemented
         return self.num == other.num and self.den == other.den
@@ -125,18 +112,8 @@ class RationalFunction:
     def __hash__(self):
         return hash((self.num, self.den))
 
-    def format(self, names: list | None = None) -> str:
-        if names is None:
-            names = [f"u{i + 2}" for i in range(self.num_vars)]
-        if self.den == LaurentPolynomial.one(self.num_vars):
-            return self.num.format(names)
-        return f"({self.num.format(names)})/({self.den.format(names)})"
-
-    def __str__(self):
-        return self.format()
-
     def __repr__(self):
-        return f"RationalFunction({self})"
+        return f"RationalFunction({self.num!r}, {self.den!r})"
 
 
 def _reduce(num: LaurentPolynomial, den: LaurentPolynomial) -> tuple:
@@ -303,48 +280,25 @@ class UniPoly:
         r = UniPoly(self.num_vars, rem, self.low)
         return q, r
 
-    def format(self, tname: str = "t", unames: list | None = None) -> str:
-        if self.is_zero():
-            return "0"
-        pieces = []
-        for i, c in enumerate(self.coeffs):
-            if c.is_zero():
-                continue
-            k = self.low + i
-            if k == 0:
-                pieces.append(c.format(unames))
-            else:
-                tpart = tname if k == 1 else f"{tname}^{k}"
-                pieces.append(f"({c.format(unames)})*{tpart}")
-        return " + ".join(pieces)
-
-    def __str__(self):
-        return self.format()
-
     def __repr__(self):
-        return f"UniPoly({self})"
+        return f"UniPoly({self.num_vars}, {self.coeffs!r}, low={self.low})"
 
 
-def grade_substitute(p: LaurentPolynomial, psi: Sequence[int]) -> UniPoly:
+def grade_substitute(p: LaurentPolynomial, distinguished: int = 0) -> UniPoly:
     """Push a Laurent polynomial into the univariate ring over the fraction field.
 
-    Applies t_i -> u_i * t^(psi_i) with u_1 = 1: a term with exponent vector
-    e lands in t-degree sum(psi_i * e_i) with coefficient carrying the
-    exponents e_2, ..., e_s on the u side.  Distinct source monomials map to
-    distinct (u-monomial, t-degree) pairs, so no cancellation occurs.
+    Applies t_i -> u_i * t with u = 1 for the distinguished variable: a term
+    with exponent vector e lands in t-degree sum(e) with coefficient
+    carrying the other exponents, in order, on the u side.  Distinct source
+    monomials map to distinct (u-monomial, t-degree) pairs, so no
+    cancellation occurs.
     """
-    s = p.num_vars
-    if len(psi) != s:
-        raise ValueError("psi must have one entry per variable")
+    uvars = max(p.num_vars - 1, 0)
     if p.is_zero():
-        return UniPoly.zero(max(s - 1, 0))
-    uvars = max(s - 1, 0)
+        return UniPoly.zero(uvars)
     buckets: dict = {}
     for e, c in p.terms.items():
-        tdeg = sum(ps * x for ps, x in zip(psi, e))
-        ue = tuple(e[1:])
-        bucket = buckets.setdefault(tdeg, {})
-        bucket[ue] = bucket.get(ue, 0) + c
+        buckets.setdefault(sum(e), {})[e[:distinguished] + e[distinguished + 1:]] = c
     lo = min(buckets)
     hi = max(buckets)
     coeffs = []

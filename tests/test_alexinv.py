@@ -385,6 +385,21 @@ def test_pid_route_distinguished_variable_invariance():
         assert len(values) == 1
 
 
+def test_exact_pid_route_every_distinguished_variable_on_corpus():
+    from alexarr.selftest import corpus_cases
+
+    checked = 0
+    for case in corpus_cases():
+        A = alexander_matrix(case.build())
+        if not 1 <= A.num_vars <= 4:
+            continue
+        want = delta0_via_pid(A)
+        for k in range(A.num_vars):
+            assert delta0_via_pid_exact(A, k) == want, (case.name, k)
+            checked += 1
+    assert checked >= 66
+
+
 def test_presentation_invariance_family_vs_wiring():
     # same arrangement, two presentations: the polynomial agrees up to units
     # once the family's line variables are put in the sweep's wire order,

@@ -135,7 +135,7 @@ def test_concurrent_lines_give_one_point():
     data = intersect_arrangement(lines_of((0, 1, 0), (1, -1, 0), (1, 1, 0)))
     assert len(data.points) == 1
     pt, idx = data.points[0]
-    assert pt == (0, 0) and idx == (0, 1, 2)
+    assert pt == (0, 0, 1) and idx == (0, 1, 2)
     assert data.per_line_counts == ((3,), (3,), (3,))
 
 
@@ -477,9 +477,13 @@ def test_integer_points_match_fraction_oracle(lines):
     oracle = oracle_points(lines)
     assert {(Fraction(x, w), Fraction(y, w)): idx
             for (x, y, w), idx in by_point.items()} == oracle
-    assert intersect_arrangement(lines).points == tuple(
-        (pt, tuple(sorted(idx))) for pt, idx in sorted(oracle.items())
-    )
+    # the points are the reduced triples above, in the order of their
+    # fraction coordinates
+    points = intersect_arrangement(lines).points
+    assert {pt: set(idx) for pt, idx in points} == by_point
+    assert tuple(
+        ((Fraction(x, w), Fraction(y, w)), idx) for (x, y, w), idx in points
+    ) == tuple((pt, tuple(sorted(idx))) for pt, idx in sorted(oracle.items()))
 
 
 @st.composite
@@ -675,7 +679,7 @@ def quadratic_sweep(lines):
             pos_of[wires[pos]] = pos
 
     pres = presentation([f"x{order[i] + 1}" for i in range(m)], relators)
-    prov = SweepProvenance(shear=Fraction(s), base_x=base_x, wire_lines=tuple(order))
+    prov = SweepProvenance(shear=Fraction(s), wire_lines=tuple(order))
     return pres, prov, order, events, words
 
 

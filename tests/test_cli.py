@@ -280,7 +280,8 @@ def test_selftest_failure_exit_code(monkeypatch, capsys):
 
 
 def test_route_disagreement_exit_4(tmp_path, monkeypatch, capsys):
-    # unreachable through honest computation, so fake a disagreeing report
+    # two routes that both ran disagree only after a bad random draw of the
+    # localized route, far too rare to meet, so fake a disagreeing report
     import alexarr.cli as cli
     from alexarr.alexinv import InvariantReport
     from alexarr.ringkit import LaurentPolynomial
@@ -300,6 +301,53 @@ def test_route_disagreement_exit_4(tmp_path, monkeypatch, capsys):
     f = tmp_path / "hopf.pres"
     f.write_text("gens: a b\nrel: a b a^-1 b^-1\n")
     assert main(["invariants", str(f)]) == 4
+    assert capsys.readouterr().err == "error: the two degree routes disagree\n"
+
+
+@pytest.mark.parametrize("text", ["gens: a\nrel: a\n", "gens: a b\nrel: a^2\nrel: b\n"])
+def test_skipped_localized_route_exit_4_under_both(tmp_path, capsys, text):
+    # a trivial torsion-free abelianization leaves the localized route no
+    # variable to localize at: it is skipped with a warning, and --route
+    # both, which asks for two routes, stops with exit 4 naming the reason
+    f = tmp_path / "trivial.pres"
+    f.write_text(text)
+    reason = "the group has trivial torsion-free abelianization; no linking direction exists"
+    code, doc = run_json(capsys, "invariants", str(f), "--route", "degree")
+    assert code == 0
+    assert doc["invariants"]["delta0"] == 0
+    code, doc = run_json(capsys, "invariants", str(f), "--route", "pid")
+    assert code == 0
+    assert doc["invariants"]["delta0"] is None
+    assert reason in doc["warnings"]
+    assert main(["invariants", str(f)]) == 4
+    captured = capsys.readouterr()
+    assert reason in json.loads(captured.out)["warnings"]
+    assert captured.err == f"error: the localized route did not run: {reason}\n"
+
+
+TWO_PARALLEL_PAIRS = "line: 1 0 0\nline: 1 0 1\nline: 0 1 0\nline: 0 1 1\n"
+
+
+@pytest.mark.parametrize("argv, text, message", [
+    (["bounds"], "curve: m=x r=3 tangents=1\n", "malformed curve token 'm=x'"),
+    (["bounds"], "curve: m4 r=3 tangents=1\n", "malformed curve token 'm4'"),
+    (["bounds"], "curve: m=4 r=3\n", "curve line is missing tangents="),
+    (["analyze", "--family", "pencil"], None, "--family requires --m"),
+    (["analyze"], None, "need an arrangement file or --family/--m"),
+    (["analyze", "--presentation", "family"], TWO_PARALLEL_PAIRS,
+     "classification Other has no closed-form family presentation"),
+    (["invariants"], "gens: a\ngens: b\n", "line 2: repeated gens line"),
+    (["invariants"], "meridians: a\ngens: a\n", "line 1: meridians before gens"),
+])
+def test_usage_error_exit_2_with_message(tmp_path, capsys, argv, text, message):
+    if text is not None:
+        f = tmp_path / "input.txt"
+        f.write_text(text)
+        argv = argv + [str(f)]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
 
 
 def test_analyze_deconed_a3_with_default_routes(tmp_path, capsys):

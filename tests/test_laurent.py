@@ -13,7 +13,7 @@ from alexarr.ringkit import (
     laurent_gcd,
     unit_normalize,
 )
-from alexarr.ringkit.laurent import _poly_gcd, _poly_part
+from alexarr.ringkit.laurent import _gcd_free_of, _poly_gcd, _poly_part, _specialized_coeffs
 
 
 def lp(num_vars, terms):
@@ -244,6 +244,18 @@ def test_gcd_certificate_counts_powers_of_the_main_variable():
     t1, t2 = var(0), var(1)
     g = t2 + t1 - 7
     assert laurent_gcd([g * (t2 + 1), g * (t2 + 2)]) == unit_normalize(g)
+
+
+def test_gcd_certificate_collapse_falls_back_to_the_prs():
+    # at t1 = 7 the leading t2-coefficient t1 - 7 of both inputs vanishes,
+    # so the certificate proves nothing and the subresultant sequence runs
+    t1, t2 = var(0), var(1)
+    g = t1 + t2 + 3
+    p = ((t1 - 7) * t2 + 1) * g
+    q = ((t1 - 7) * t2 + 2) * g
+    assert _specialized_coeffs(p, 1, [7, 7]) is None
+    assert not _gcd_free_of(p, q, 1)
+    assert laurent_gcd([p, q]) == g
 
 
 def test_gcd_divides_every_input_randomized():

@@ -91,7 +91,7 @@ def rank_and_degree(M):
     by the exact one with the divisibility chain, for M over Z[t^±1]."""
     mod = diagonalize_mod_p(Matrix([[specialize(p, [1], [1]) for p in row]
                                     for row in M], len(M), len(M[0])))
-    pid = diagonalize_over_pid(Matrix([[grade_substitute(p, [1]) for p in row]
+    pid = diagonalize_over_pid(Matrix([[grade_substitute(p) for p in row]
                                        for row in M], len(M), len(M[0])))
     return mod, pid, [(free, sum(f.spread() for f in factors)) for factors, free in (mod, pid)]
 

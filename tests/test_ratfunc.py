@@ -127,7 +127,7 @@ def test_monic_strips_offset_and_leading():
 
 def test_grade_substitute_basic():
     t1, t2 = (LaurentPolynomial.variable(i, 2) for i in range(2))
-    up = grade_substitute(t1 * t2 - 1, [1, 1])
+    up = grade_substitute(t1 * t2 - 1)
     # u2 * t^2 - 1
     assert up.low == 0
     assert up.top() == 2
@@ -137,18 +137,12 @@ def test_grade_substitute_basic():
 
 def test_grade_substitute_constant_and_first_variable():
     c = LaurentPolynomial.constant(7, 2)
-    up = grade_substitute(c, [1, 1])
+    up = grade_substitute(c)
     assert up.low == 0 and up.spread() == 0
     t1 = LaurentPolynomial.variable(0, 2)
-    up = grade_substitute(t1 - 1, [1, 1])
+    up = grade_substitute(t1 - 1)
     assert up.low == 0 and up.top() == 1
     assert up.coeffs[1].is_one()
-
-
-def test_grade_substitute_psi_length_checked():
-    t1 = LaurentPolynomial.variable(0, 2)
-    with pytest.raises(ValueError):
-        grade_substitute(t1, [1])
 
 
 def test_grade_substitute_preserves_degree_with_ones():
@@ -160,7 +154,7 @@ def test_grade_substitute_preserves_degree_with_ones():
         p = random_poly(rng, n, max_terms=5, exp_range=(-2, 3))
         if p.is_zero():
             continue
-        up = grade_substitute(p, [1] * n)
+        up = grade_substitute(p)
         assert up.spread() == degree_spread(p)
 
 
@@ -226,7 +220,7 @@ def test_diagonalize_rank_accounting_and_minor_gcd():
             ]
             for _ in range(rows)
         ]
-        entries = [[grade_substitute(p, [1]) for p in row] for row in lint]
+        entries = [[grade_substitute(p) for p in row] for row in lint]
         m = Matrix(entries, rows, cols)
         factors, free = diagonalize_over_pid(m)
         rank = rows - free
@@ -238,7 +232,7 @@ def test_diagonalize_rank_accounting_and_minor_gcd():
             prod = UniPoly.one(0)
             for f in factors:
                 prod = prod * f
-            expect = grade_substitute(g, [1]).monic()
+            expect = grade_substitute(g).monic()
             assert prod.monic() == expect
 
 
@@ -256,7 +250,7 @@ def test_diagonalize_over_rational_functions_matches_minor_gcd(data):
     cols = data.draw(st.integers(1, 4))
     lint = [[data.draw(_laurent_tu) for _ in range(cols)] for _ in range(rows)]
     m = Matrix(
-        [[grade_substitute(p, [1, 1]) for p in row] for row in lint], rows, cols
+        [[grade_substitute(p) for p in row] for row in lint], rows, cols
     )
     factors, free = diagonalize_over_pid(m)
     rank = rows - free
@@ -270,6 +264,6 @@ def test_diagonalize_over_rational_functions_matches_minor_gcd(data):
         for f in factors:
             assert f.spread() > 0 and f.low == 0 and f.leading().is_one()
             prod = prod * f
-        assert prod == grade_substitute(g, [1, 1]).monic()
+        assert prod == grade_substitute(g).monic()
         for f, nxt in zip(factors, factors[1:]):
             assert nxt.divmod_by(f)[1].is_zero()
