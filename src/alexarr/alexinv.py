@@ -288,7 +288,8 @@ def compute_invariants(p: Presentation, routes: str = "both") -> InvariantReport
     """Run the full invariant pipeline on a presentation.
 
     routes: "degree", "pid", or "both".  With "both" the two independent
-    computations of the degree are compared and the agreement recorded.
+    computations of the degree are compared and the agreement recorded (a
+    skipped localized route disagrees); a single route always agrees.
     """
     if routes not in ("degree", "pid", "both"):
         raise ValueError("routes must be one of degree, pid, both")
@@ -315,7 +316,7 @@ def compute_invariants(p: Presentation, routes: str = "both") -> InvariantReport
             warnings.append(str(exc))
 
     chosen = d_pid if routes == "pid" else d_degree
-    agreement = routes == "degree" or (d_pid is not None and chosen == d_pid)
+    agreement = routes != "both" or d_pid == d_degree
 
     codim = characteristic_codim_flag(delta)
     if codim:

@@ -282,14 +282,13 @@ class BoundReport:
     homology of the boundary of a tube around it: sum of (d-1)^2 over its
     multiple points, minus 1, plus (k-1)(m-k) when its parallel class has
     size k >= 2 (the contribution of the point at infinity).  best is the
-    minimum, capped by the global bound.
+    minimum, capped by the global bound.  The closed form of delta_n, when
+    the classification forces one, is `vanishing_and_infinite_verdicts`'s.
     """
 
-    m: int
     global_bound: int
     line_bounds: tuple
     best: int
-    closed_form: "ClosedForm | None" = None
 
 
 @dataclass(frozen=True)
@@ -302,7 +301,10 @@ class ClosedForm:
     statement: str
 
 
-def closed_form_for(label: ClassLabel, m: int) -> ClosedForm | None:
+def vanishing_and_infinite_verdicts(label: ClassLabel,
+                                    data: IntersectionData) -> ClosedForm | None:
+    """Closed-form value of delta_n (all n) when the classification forces one."""
+    m = data.m
     if label.label == LABEL_ALL_PARALLEL:
         if m == 1:
             return ClosedForm(
@@ -356,13 +358,7 @@ def combinatorial_bounds(data: IntersectionData,
             LineBound(i, k, data.per_line_counts[i], tube)
         )
     best = min([cap] + [lb.bound for lb in line_bounds])
-    return BoundReport(
-        m=m,
-        global_bound=cap,
-        line_bounds=tuple(line_bounds),
-        best=best,
-        closed_form=closed_form_for(label, m),
-    )
+    return BoundReport(global_bound=cap, line_bounds=tuple(line_bounds), best=best)
 
 
 @dataclass(frozen=True)
@@ -372,12 +368,10 @@ class CurveBoundReport:
     r points at infinity, each either transversal or a simple tangency.
     When the hypotheses hold (m = 2, or at least one transversal point) the
     degrees are bounded by m(m-2); for r <= m-1 the proof gives the sharper
-    intermediate value m^2 - 3m + r + 1.
+    intermediate value m^2 - 3m + r + 1.  The report holds the verdict and
+    the bounds, not the arguments.
     """
 
-    m: int
-    r: int
-    tangent_points: int
     hypotheses_hold: bool
     reason: str
     bound: int | None
@@ -404,21 +398,11 @@ def curve_at_infinity_bound(m: int, r: int,
     else:
         hold, reason = False, "no transversal point at infinity and degree > 2"
     if not hold:
-        return CurveBoundReport(m, r, tangents, False, reason, None, None)
+        return CurveBoundReport(False, reason, None, None)
     cap = m * (m - 2)
     intermediate = m * m - 3 * m + r + 1 if r <= m - 1 else None
     bound = min(cap, intermediate) if intermediate is not None else cap
-    return CurveBoundReport(m, r, tangents, True, reason, bound, intermediate)
-
-
-# ----------------------------------------------------------------------
-# verdicts
-
-
-def vanishing_and_infinite_verdicts(label: ClassLabel,
-                                    data: IntersectionData) -> ClosedForm | None:
-    """Closed-form value of delta_n (all n) when the classification forces one."""
-    return closed_form_for(label, data.m)
+    return CurveBoundReport(True, reason, bound, intermediate)
 
 
 # ----------------------------------------------------------------------

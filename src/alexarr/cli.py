@@ -111,8 +111,8 @@ def _emit_json(doc: dict, out: str | None) -> None:
 
 def _emit_invariants(doc: dict, report: InvariantReport, args) -> None:
     """Write doc with the invariants of report added; after writing, fail
-    with exit 4 under --route both if the two routes disagree or the
-    localized route could not run."""
+    with exit 4 if the routes disagree, which only --route both can report
+    (the two routes differ, or the localized route could not run)."""
     doc["invariants"] = {
         "s": report.s,
         "alexander_polynomial": report.alexander_poly.format(),
@@ -129,7 +129,7 @@ def _emit_invariants(doc: dict, report: InvariantReport, args) -> None:
     doc["warnings"] = list(report.warnings)
     doc["notes"] = list(report.notes)
     _emit_json(doc, args.out)
-    if args.route == "both" and not report.route_agreement:
+    if not report.route_agreement:
         if report.delta0_pid_route is None:
             # compute_invariants records the reason as its last warning
             raise CliFailure(EXIT_INTERNAL,

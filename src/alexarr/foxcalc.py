@@ -23,28 +23,30 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from operator import add, sub
-from typing import Mapping
+from typing import Iterable
 
 from .groups import AbelianizationData, Presentation, Word, abelianize, free_reduce
 from .ringkit import LaurentPolynomial, Matrix
 
 
 class GroupRingElement:
-    """Finite integer combination of freely reduced words (element of ZF_m)."""
+    """Finite integer combination of freely reduced words (element of ZF_m).
+
+    Built from (letters, coefficient) pairs by the one merge loop: the
+    constructor reduces each word, adds equal words and drops zero sums.
+    """
 
     __slots__ = ("terms",)
 
-    def __init__(self, terms: Mapping[tuple, int] | None = None):
+    def __init__(self, pairs: Iterable[tuple] = ()):
         clean: dict = {}
-        if terms:
-            for letters, coeff in terms.items():
-                if coeff:
-                    key = free_reduce(letters)
-                    c = clean.get(key, 0) + coeff
-                    if c:
-                        clean[key] = c
-                    elif key in clean:
-                        del clean[key]
+        for letters, coeff in pairs:
+            key = free_reduce(letters)
+            c = clean.get(key, 0) + coeff
+            if c:
+                clean[key] = c
+            else:
+                clean.pop(key, None)
         object.__setattr__(self, "terms", clean)
 
     def __setattr__(self, name, value):
@@ -56,42 +58,30 @@ class GroupRingElement:
 
     @classmethod
     def one(cls) -> "GroupRingElement":
-        return cls({(): 1})
+        return cls([((), 1)])
 
     @classmethod
-    def from_word(cls, w: Word, coeff: int = 1) -> "GroupRingElement":
-        return cls({w.letters: coeff})
+    def from_word(cls, w: Word) -> "GroupRingElement":
+        return cls([(w.letters, 1)])
 
     def is_zero(self) -> bool:
         return not self.terms
 
     def __add__(self, other: "GroupRingElement") -> "GroupRingElement":
-        terms = dict(self.terms)
-        for w, c in other.terms.items():
-            s = terms.get(w, 0) + c
-            if s:
-                terms[w] = s
-            elif w in terms:
-                del terms[w]
-        return GroupRingElement(terms)
+        return GroupRingElement([*self.terms.items(), *other.terms.items()])
 
     def __neg__(self) -> "GroupRingElement":
-        return GroupRingElement({w: -c for w, c in self.terms.items()})
+        return GroupRingElement((w, -c) for w, c in self.terms.items())
 
     def __sub__(self, other: "GroupRingElement") -> "GroupRingElement":
         return self + (-other)
 
     def __mul__(self, other: "GroupRingElement") -> "GroupRingElement":
-        terms: dict = {}
-        for w1, c1 in self.terms.items():
-            for w2, c2 in other.terms.items():
-                key = free_reduce(w1 + w2)
-                s = terms.get(key, 0) + c1 * c2
-                if s:
-                    terms[key] = s
-                elif key in terms:
-                    del terms[key]
-        return GroupRingElement(terms)
+        return GroupRingElement(
+            (w1 + w2, c1 * c2)
+            for w1, c1 in self.terms.items()
+            for w2, c2 in other.terms.items()
+        )
 
     def __eq__(self, other):
         return isinstance(other, GroupRingElement) and self.terms == other.terms
@@ -110,24 +100,13 @@ def fox_derivative(w: Word, j: int) -> GroupRingElement:
     """d(w)/d(x_j) in the free group ring."""
     if j < 0:
         raise IndexError("generator index out of range")
-    terms: dict = {}
-
-    def add(letters: tuple, coeff: int):
-        s = terms.get(letters, 0) + coeff
-        if s:
-            terms[letters] = s
-        elif letters in terms:
-            del terms[letters]
-
-    prefix: list = []
     target = j + 1
-    for x in w.letters:
-        if x == target:
-            add(tuple(prefix), 1)
-        elif x == -target:
-            add(tuple(prefix) + (-target,), -1)
-        prefix.append(x)
-    return GroupRingElement(terms)
+    letters = w.letters
+    return GroupRingElement(
+        (letters[:k], 1) if x == target else (letters[: k + 1], -1)
+        for k, x in enumerate(letters)
+        if x == target or x == -target
+    )
 
 
 def check_fundamental_identity(w: Word, num_gens: int) -> bool:
@@ -163,11 +142,11 @@ class AlexanderMatrix:
     Rows are indexed by generators, columns by relators: the (i, j) entry is
     the image of d(r_j)/d(x_i) in Z[t_1^{±1}, ..., t_s^{±1}].  This is the
     presentation matrix of the module of the pair (columns map into the free
-    module on the generators).
+    module on the generators).  `ab` is the abelianization the entries live
+    over: its s variables and the generators' images in Z^s.
     """
 
     matrix: Matrix
-    presentation: Presentation
     ab: AbelianizationData
 
     @property
@@ -218,4 +197,4 @@ def alexander_matrix(p: Presentation, ab: AbelianizationData | None = None) -> A
         columns.append(column)
     entries = [[LaurentPolynomial._trusted(s, column[i]) for column in columns]
                for i in range(m)]
-    return AlexanderMatrix(Matrix(entries, m, len(columns)), p, ab)
+    return AlexanderMatrix(Matrix(entries, m, len(columns)), ab)

@@ -19,7 +19,8 @@ from math import gcd as _int_gcd
 from operator import add as _add
 from typing import Iterable, Mapping
 
-from .modp import PRIME, ModPoly, specialize
+from .matrices import Matrix
+from .modp import PRIME, ModPoly, diagonalize_mod_p, specialize
 
 
 class LaurentPolynomial:
@@ -73,11 +74,11 @@ class LaurentPolynomial:
         return cls.constant(1, num_vars)
 
     @classmethod
-    def variable(cls, index: int, num_vars: int, power: int = 1) -> "LaurentPolynomial":
+    def variable(cls, index: int, num_vars: int) -> "LaurentPolynomial":
         if not 0 <= index < num_vars:
             raise ValueError(f"variable index {index} out of range for {num_vars} variables")
         exps = [0] * num_vars
-        exps[index] = power
+        exps[index] = 1
         return cls(num_vars, {tuple(exps): 1})
 
     @classmethod
@@ -188,8 +189,6 @@ class LaurentPolynomial:
         return result
 
     def __eq__(self, other):
-        if isinstance(other, int):
-            return self.is_constant() and self.constant_value() == other
         if not isinstance(other, LaurentPolynomial):
             return NotImplemented
         return self.num_vars == other.num_vars and self.terms == other.terms
@@ -508,32 +507,24 @@ def _specialized_coeffs(p: LaurentPolynomial, main: int, points: list) -> ModPol
     return image
 
 
-def _mod_uni_gcd_degree(a: ModPoly, b: ModPoly) -> int:
-    """Degree of the gcd of two nonzero ordinary polynomials over F_p.
-
-    The Euclidean algorithm in F_p[t^{±1}] finds the gcd up to a power of
-    t; the common power of t is min(a.low, b.low).
-    """
-    common = min(a.low, b.low)
-    while b:
-        a, b = b, a.divmod_by(b)[1]
-    return common + a.spread()
-
-
 def _gcd_free_of(p: LaurentPolynomial, q: LaurentPolynomial, main: int) -> bool:
     """Sound one-sided test: True proves gcd(p, q) has degree 0 in variable
     main.  Specializing the other variables at one fixed point maps the
     true gcd onto a divisor of the specialized gcd as long as the leading
     coefficients survive, so a degree-zero specialized gcd is a
     certificate.  The degree is the ordinary one, powers of the main
-    variable included: the constant coefficient may collapse, so a
-    spread-zero Laurent gcd proves nothing.  A collapsed leading
+    variable included: the constant coefficient may collapse, so a shared
+    power of the main variable gives False, and otherwise the Laurent gcd
+    that `diagonalize_mod_p` finds must be a unit.  A collapsed leading
     coefficient gives False, which only sends the caller to the
     subresultant pseudo-remainder sequence."""
     points = [pow(5, 7 * i + 1, PRIME) % 1000003 + 2 for i in range(p.num_vars)]
     ca = _specialized_coeffs(p, main, points)
     cb = _specialized_coeffs(q, main, points)
-    return ca is not None and cb is not None and _mod_uni_gcd_degree(ca, cb) == 0
+    if ca is None or cb is None or min(ca.low, cb.low) > 0:
+        return False
+    factors, _ = diagonalize_mod_p(Matrix([[ca, cb]], 1, 2))
+    return not factors
 
 
 def _monomial_gcd_with(p: LaurentPolynomial, q: LaurentPolynomial) -> LaurentPolynomial:

@@ -115,9 +115,10 @@ def _eliminate(a: list, rows: int, cols: int, size, divide, *, chain: bool) -> i
     it: `smith_normal_form_int` (whose column transform gives abelianize's
     quotient map, so every reported polynomial depends on it) and
     `diagonalize_over_pid` (whose entries are the invariant factors).
-    `diagonalize_mod_p` passes chain=False: it reads only the rank and the
-    sum of the entries' spreads, the length of the torsion, which any
-    diagonal form gives.
+    `diagonalize_mod_p` passes chain=False: its callers read only the rank
+    and the entries' spreads (the localized route their sum, the length of
+    the torsion; the laurent gcd's coprimality certificate whether the one
+    entry of a 1 x 2 matrix is a unit), which any diagonal form gives.
     """
     width = len(a[0]) if a else 0
 

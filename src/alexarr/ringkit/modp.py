@@ -5,7 +5,9 @@ function, so the one elimination kernel diagonalizes matrices over it.  A
 multivariate integer Laurent polynomial reaches it by specialization:
 t_i -> a_i * t^(psi_i) with the a_i in F_p^*.  The localized degree route
 specializes the Fox matrix at random points; the multivariate gcd
-specializes at fixed points for its coprimality certificate.
+specializes a pair at fixed points for its coprimality certificate and
+diagonalizes the 1 x 2 matrix they form, the kernel's Euclid for their
+gcd.
 """
 
 from __future__ import annotations

@@ -204,7 +204,7 @@ def test_pid_route_flags_wrong_deficiency():
 
     p = parse_presentation("gens: a\n")
     ab = abelianize(p)
-    fake = AlexanderMatrix(Matrix([[LaurentPolynomial.one(1)]]), p, ab)
+    fake = AlexanderMatrix(Matrix([[LaurentPolynomial.one(1)]]), ab)
     with pytest.raises(InconsistentPresentationError):
         delta0_via_pid(fake)
 

@@ -184,11 +184,25 @@ def test_bounds_curve_mode(tmp_path, capsys):
     f.write_text("curve: m=4 r=3 tangents=1\n")
     code, doc = run_json(capsys, "bounds", str(f))
     assert code == 0
-    assert doc["bound"] == 8 and doc["intermediate"] == 8
+    assert doc == {
+        "schema": 1,
+        "input": {"kind": "curve", "m": 4, "r": 3, "tangents": 1},
+        "hypotheses_hold": True,
+        "reason": "at least one transversal point at infinity",
+        "bound": 8,
+        "intermediate": 8,
+    }
     f.write_text("curve: m=4 r=2 tangents=2\n")
     code, doc = run_json(capsys, "bounds", str(f))
     assert code == 0
-    assert doc["hypotheses_hold"] is False and doc["bound"] is None
+    assert doc == {
+        "schema": 1,
+        "input": {"kind": "curve", "m": 4, "r": 2, "tangents": 2},
+        "hypotheses_hold": False,
+        "reason": "no transversal point at infinity and degree > 2",
+        "bound": None,
+        "intermediate": None,
+    }
 
 
 def test_bounds_curve_inconsistent_flags_exit_3(tmp_path, capsys):
@@ -308,20 +322,24 @@ def test_route_disagreement_exit_4(tmp_path, monkeypatch, capsys):
 def test_skipped_localized_route_exit_4_under_both(tmp_path, capsys, text):
     # a trivial torsion-free abelianization leaves the localized route no
     # variable to localize at: it is skipped with a warning, and --route
-    # both, which asks for two routes, stops with exit 4 naming the reason
+    # both, which asks for two routes, stops with exit 4 naming the reason;
+    # only there can the routes disagree
     f = tmp_path / "trivial.pres"
     f.write_text(text)
     reason = "the group has trivial torsion-free abelianization; no linking direction exists"
     code, doc = run_json(capsys, "invariants", str(f), "--route", "degree")
     assert code == 0
     assert doc["invariants"]["delta0"] == 0
+    assert doc["invariants"]["route_agreement"] is True
     code, doc = run_json(capsys, "invariants", str(f), "--route", "pid")
     assert code == 0
     assert doc["invariants"]["delta0"] is None
+    assert doc["invariants"]["route_agreement"] is True
     assert reason in doc["warnings"]
     assert main(["invariants", str(f)]) == 4
     captured = capsys.readouterr()
     assert reason in json.loads(captured.out)["warnings"]
+    assert json.loads(captured.out)["invariants"]["route_agreement"] is False
     assert captured.err == f"error: the localized route did not run: {reason}\n"
 
 

@@ -39,6 +39,15 @@ def test_commutator_derivative():
     assert check_fundamental_identity(comm, 2)
 
 
+def test_group_ring_merges_terms():
+    # hand-computed: the product cancels where the two words meet, equal
+    # words add, and a zero sum drops its word
+    x = GroupRingElement.from_word(Word([1]))
+    assert x * GroupRingElement.from_word(Word([-1])) == GroupRingElement.one()
+    assert (x - x).is_zero()
+    assert (x + x).terms == {(1,): 2}
+
+
 def test_fundamental_identity_trivial_cases():
     assert check_fundamental_identity(Word.identity(), 2)
     assert check_fundamental_identity(Word.generator(0), 2)

@@ -258,6 +258,15 @@ def test_gcd_certificate_collapse_falls_back_to_the_prs():
     assert laurent_gcd([p, q]) == g
 
 
+def test_gcd_certificate_verdicts():
+    # True only for a coprime pair; a shared power of t2 or a shared factor
+    # that involves t2 gives False
+    t1, t2 = var(0), var(1)
+    assert _gcd_free_of(t1 * t2 + 1, t1 + t2 + 2, 1)
+    assert not _gcd_free_of(t2 * (t2 + 1), t2 * (t2 + 2), 1)
+    assert not _gcd_free_of((t1 + t2) * (t2 + 1), (t1 + t2) * (t1 + 2), 1)
+
+
 def test_gcd_divides_every_input_randomized():
     rng = random.Random(23)
     for _ in range(200):
