@@ -96,6 +96,16 @@ class IntersectionData:
     class_sizes: tuple
 
 
+def _rational(token: str):
+    """The value of a rational token: an ``int`` for an ASCII integer with
+    at most one sign, where ``int`` and ``Fraction`` agree, else a
+    ``Fraction``."""
+    digits = token[1:] if token[0] in "+-" else token
+    if digits.isascii() and digits.isdigit():
+        return int(token)
+    return Fraction(token)
+
+
 def parse_arrangement(text: str) -> list:
     lines = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -109,10 +119,11 @@ def parse_arrangement(text: str) -> list:
         if len(tokens) != 3:
             raise ArrangementError(f"line {lineno}: expected three rational tokens")
         try:
-            a, b, c = (Fraction(t) for t in tokens)
+            lines.append(Line.of(*map(_rational, tokens)))
+        except ArrangementError as exc:
+            raise ArrangementError(f"line {lineno}: {exc}") from None
         except (ValueError, ZeroDivisionError):
             raise ArrangementError(f"line {lineno}: bad rational token") from None
-        lines.append(Line.of(a, b, c))
     if not lines:
         raise ArrangementError("no lines in arrangement input")
     return lines
@@ -503,13 +514,20 @@ def _choose_shear(lines: Sequence[Line], scaled: Sequence[tuple]) -> int:
     line and each pair of points rules out at most one s, so the range
     searched holds an answer; a candidate costs O(len(lines) + len(scaled))
     operations on integers of about log2|x| + 3*log2(max W) bits, x the
-    largest sheared abscissa, whatever the number of points.
+    largest sheared abscissa, whatever the number of points, and stops at
+    its first repeated abscissa.
     """
     n = len(scaled)
     for s in range(len(lines) + n * (n - 1) // 2 + 1):
         if any(b == s * a for a, b, _ in lines):
             continue
-        if len(set(_abscissas(scaled, s))) == n:
+        seen = set()
+        for x, y, w in scaled:
+            v = (x + s * y) // w
+            if v in seen:
+                break
+            seen.add(v)
+        else:
             return s
     raise ArrangementError("shear search ran out of candidates")
 
@@ -526,10 +544,10 @@ def _cross_events(order: Sequence[int], events) -> tuple:
     multiple point in sweep order.  Words are freely reduced letter tuples;
     the relators come in event order, and the wire words are those after
     the last event, by position.  A k-fold point costs O(k) products.  A
-    double point, most events of a sweep, costs five products and two
-    inverses: with w1 the lower word and w2 the upper, its relator is
-    w2*w1*w2^-1*w1^-1, the two wires swap, and the lower one's word
-    becomes w1*w2*w1^-1.
+    double point, most events of a sweep, costs three products and two
+    inverses: with w1 the lower word and w2 the upper, the two wires swap,
+    the lower one's word becomes N = w1*w2*w1^-1, and the relator
+    w2*w1*w2^-1*w1^-1 is written as w2*N^-1, the same reduced word.
     """
     pos_of = {line_idx: pos for pos, line_idx in enumerate(order)}
     wires = list(order)                           # position -> line index
@@ -545,10 +563,9 @@ def _cross_events(order: Sequence[int], events) -> tuple:
             if q != p + 1:
                 raise ArrangementError(_NOT_ADJACENT)
             w1, w2 = words[p], words[q]
-            w1_inv = reduced_inverse(w1)
-            relators.append(reduced_product(reduced_product(
-                reduced_product(w2, w1), reduced_inverse(w2)), w1_inv))
-            words[p] = reduced_product(reduced_product(w1, w2), w1_inv)
+            lower = reduced_product(reduced_product(w1, w2), reduced_inverse(w1))
+            relators.append(reduced_product(w2, reduced_inverse(lower)))
+            words[p] = lower
             words[q] = w1
             wires[p], wires[q] = wires[q], wires[p]
             pos_of[i], pos_of[j] = pos_of[j], pos_of[i]

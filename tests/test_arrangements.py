@@ -9,6 +9,7 @@ from math import gcd
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from alexarr import arrangements
 from alexarr.arrangements import (
     ArrangementError,
     Line,
@@ -129,6 +130,38 @@ def test_parse_arrangement_rationals_and_errors():
         parse_arrangement("\n")
     with pytest.raises(ArrangementError):
         parse_arrangement("notaline: 1 2 3\n")
+
+
+def test_degenerate_line_error_names_its_line(tmp_path, capsys):
+    with pytest.raises(ArrangementError,
+                       match=r"^line 3: degenerate line: a = b = 0$"):
+        parse_arrangement("line: 1 0 0\n# comment\nline: 0 0 1\n")
+    f = tmp_path / "degenerate.txt"
+    f.write_text("line: 0 0 1\n")
+    assert main(["bounds", str(f)]) == 2
+    assert "line 1: degenerate line: a = b = 0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("token", [
+    "+3", "-0", "007", "1_000", "\u0663", "+-3", "--3", "1e2", "1.5", "3/6",
+    "0x10", "\u00bd",
+])
+def test_integer_tokens_parse_like_fractions(token, monkeypatch):
+    """ASCII integers with at most one sign take the ``int`` path; every
+    token gives the lines or the error of a parse through ``Fraction``."""
+    text = f"line: 1 2 3\nline: {token} 1 {token}\n"
+
+    def outcome():
+        try:
+            return parse_arrangement(text)
+        except ArrangementError as exc:
+            return str(exc)
+
+    got = outcome()
+    if token in ("+3", "-0", "007"):
+        assert type(arrangements._rational(token)) is int
+    monkeypatch.setattr(arrangements, "_rational", Fraction)
+    assert outcome() == got
 
 
 def test_concurrent_lines_give_one_point():
@@ -722,3 +755,19 @@ def test_sweep_matches_quadratic_oracle():
         assert words == [w.letters for w in want_words]
         multiplicities.update(map(len, events))
     assert set(range(2, 11)) <= multiplicities
+
+
+def test_double_point_costs_three_products_and_two_inverses(monkeypatch):
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    for name in ("reduced_product", "reduced_inverse"):
+        monkeypatch.setattr(arrangements, name, counted(name, getattr(arrangements, name)))
+    pres, _ = wiring_presentation(family_arrangement("generic", 8))
+    assert pres.num_relators == 28  # one per double point, and no other point
+    assert calls == {"reduced_product": 3 * 28, "reduced_inverse": 2 * 28}

@@ -287,9 +287,9 @@ def test_python_dash_m_runs_the_cli():
 
 
 def test_selftest_failure_exit_code(monkeypatch, capsys):
-    import alexarr.cli as cli
+    import alexarr.selftest as selftest
 
-    monkeypatch.setattr(cli, "run_selftest", lambda name_filter=None: (5, 2))
+    monkeypatch.setattr(selftest, "run_selftest", lambda name_filter=None: (5, 2))
     assert main(["selftest"]) == 1
 
 

@@ -11,6 +11,8 @@ from alexarr.groups import (
     free_reduce,
     parse_presentation,
     presentation,
+    reduced_inverse,
+    reduced_product,
     serialize_presentation,
 )
 
@@ -258,3 +260,12 @@ def test_linking_vector_of_word_products():
     full = Word([4, 3, 2, 1])
     assert sum(ab.word_image(full)) == 4
     assert sum(ab.word_image(Word.identity())) == 0
+
+
+@given(letters.map(free_reduce), letters.map(free_reduce))
+def test_double_point_relator_from_the_new_lower_word(w1, w2):
+    """The sweep's double-point relator w2*N^-1, N = w1*w2*w1^-1, is the
+    reduced commutator w2*w1*w2^-1*w1^-1."""
+    lower = reduced_product(reduced_product(w1, w2), reduced_inverse(w1))
+    assert reduced_product(w2, reduced_inverse(lower)) == free_reduce(
+        w2 + w1 + reduced_inverse(w2) + reduced_inverse(w1))
