@@ -286,6 +286,18 @@ def test_python_dash_m_runs_the_cli():
     assert "family-pencil-3" in proc.stdout and "FAIL" not in proc.stdout
 
 
+def test_cli_import_leaves_selftest_unloaded():
+    """Only the selftest command loads the corpus module."""
+    root = Path(__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, alexarr.cli; sys.exit('alexarr.selftest' in sys.modules)"],
+        cwd=root, env={**os.environ, "PYTHONPATH": str(root / "src")},
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_selftest_failure_exit_code(monkeypatch, capsys):
     import alexarr.selftest as selftest
 
