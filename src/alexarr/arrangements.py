@@ -166,21 +166,20 @@ def _fixed_point(points) -> list:
     return [(x << bits, y << bits, w) for x, y, w in points]
 
 
-def _abscissas(scaled, s: int) -> list:
-    """Fixed-point abscissas of the points, ``scaled`` by ``_fixed_point``,
-    under the shear (x, y) -> (x + s*y, y)."""
-    return [(x + s * y) // w for x, y, w in scaled]
+def _fixed_point_keys(points) -> list:
+    """Keys (floor(X * 2**B / W), floor(Y * 2**B / W)) of triples (X, Y, W),
+    W > 0, with B as in ``_fixed_point``: they compare, lexicographically,
+    as the points (X/W, Y/W) do."""
+    return [(x // w, y // w) for x, y, w in _fixed_point(points)]
 
 
 def intersect_arrangement(lines: Sequence[Line]) -> IntersectionData:
     """Group all pairwise intersections into multiple points, exactly."""
     by_point = _lines_through_points(lines)
     m = len(lines)
-    scaled = _fixed_point(by_point)
-    keys = zip(_abscissas(scaled, 0), [y // w for _, y, w in scaled])
     points = tuple(
         (pt, tuple(sorted(idx)))
-        for _, (pt, idx) in sorted(zip(keys, by_point.items()))
+        for _, (pt, idx) in sorted(zip(_fixed_point_keys(by_point), by_point.items()))
     )
     per_line: list = [[] for _ in range(m)]
     for _, idx in points:
@@ -214,6 +213,19 @@ LABEL_NEAR_PENCIL = "NearPencil"
 LABEL_NODAL_TRANSVERSAL = "HasNodalTransversalLine"
 LABEL_GENERIC = "GenericPosition"
 LABEL_OTHER = "Other"
+
+FAMILY_PENCIL = "pencil"
+FAMILY_NEAR_PENCIL = "near-pencil"
+FAMILY_PARALLEL = "parallel"
+FAMILY_GENERIC = "generic"
+
+# the closed-form family presentation of each label that has one
+FAMILY_BY_LABEL = {
+    LABEL_PENCIL: FAMILY_PENCIL,
+    LABEL_NEAR_PENCIL: FAMILY_NEAR_PENCIL,
+    LABEL_ALL_PARALLEL: FAMILY_PARALLEL,
+    LABEL_GENERIC: FAMILY_GENERIC,
+}
 
 
 @dataclass(frozen=True)
@@ -420,11 +432,6 @@ def curve_at_infinity_bound(m: int, r: int,
 # family presentations
 
 
-FAMILY_PENCIL = "pencil"
-FAMILY_NEAR_PENCIL = "near-pencil"
-FAMILY_PARALLEL = "parallel"
-FAMILY_GENERIC = "generic"
-
 _FAMILY_MIN_M = {FAMILY_PENCIL: 3, FAMILY_NEAR_PENCIL: 2, FAMILY_PARALLEL: 1, FAMILY_GENERIC: 1}
 FAMILIES = tuple(_FAMILY_MIN_M)
 
@@ -503,32 +510,34 @@ class SweepProvenance:
     wire_lines: tuple
 
 
-def _choose_shear(lines: Sequence[Line], scaled: Sequence[tuple]) -> int:
-    """Smallest nonnegative integer shear making the picture sweep-generic.
+def _choose_shear(lines: Sequence[Line], scaled: Sequence[tuple]) -> tuple:
+    """Smallest nonnegative integer shear s making the picture
+    sweep-generic; returns s and the fixed-point abscissas of the points
+    under it, in the order of ``scaled``.
 
     Under (x, y) -> (x + s*y, y) no line may become vertical and the multiple
     points must get pairwise distinct abscissas.  ``lines`` are ``Line``
     triples (a, b, c); the sheared line a*x + (b - s*a)*y = c is vertical
     when b = s*a.  ``scaled`` are the multiple points in the form of
-    ``_fixed_point``, compared through their fixed-point abscissas.  Each
-    line and each pair of points rules out at most one s, so the range
-    searched holds an answer; a candidate costs O(len(lines) + len(scaled))
-    operations on integers of about log2|x| + 3*log2(max W) bits, x the
-    largest sheared abscissa, whatever the number of points, and stops at
-    its first repeated abscissa.
+    ``_fixed_point``, compared through their fixed-point abscissas
+    floor((X + s*Y) * 2**B / W).  Each line and each pair of points rules
+    out at most one s, so the range searched holds an answer; a candidate
+    costs O(len(lines) + len(scaled)) operations on integers of about
+    log2|x| + 3*log2(max W) bits, x the largest sheared abscissa, whatever
+    the number of points, and stops at its first repeated abscissa.
     """
     n = len(scaled)
     for s in range(len(lines) + n * (n - 1) // 2 + 1):
         if any(b == s * a for a, b, _ in lines):
             continue
-        seen = set()
+        xs = {}
         for x, y, w in scaled:
             v = (x + s * y) // w
-            if v in seen:
+            if v in xs:
                 break
-            seen.add(v)
+            xs[v] = None
         else:
-            return s
+            return s, list(xs)
     raise ArrangementError("shear search ran out of candidates")
 
 
@@ -612,38 +621,21 @@ def wiring_presentation(lines: Sequence[Line]) -> tuple:
     Returns (Presentation, SweepProvenance).  Generator i is a meridian of
     the line at initial wire position i (bottom to top at the base fiber);
     the provenance records which input line that is.
+
+    The shear maps the meeting point of two lines to that of their images,
+    so the events go in the order of the abscissas that ``_choose_shear``
+    accepted.  Every crossing is an event, so the base fiber may sit at
+    x -> -inf: there the sheared line a*x + b'*y = c, b' = b - s*a != 0,
+    lies by its slope a/b', then by its intercept c/b', bottom to top
+    (equal keys would be a duplicate line).
     """
     by_point = _lines_through_points(lines)
-    scaled = _fixed_point(by_point)
-    s = _choose_shear(lines, scaled)
-    m = len(lines)
-
-    # the shear maps the meeting point of two lines to that of their
-    # images; events are ordered by their fixed-point sheared abscissas
-    xs = _abscissas(scaled, s)
-    event_list = sorted(zip(xs, by_point.items()), key=itemgetter(0))
-    if len(set(xs)) != len(xs):
-        raise ArrangementError("shear failed to separate event x-coordinates")
-
-    # base fiber one unit left of the first event, at x = N/D; the sheared
-    # line a*x + (b - s*a)*y = c crosses it at the height
-    # (c*D - a*N) / (D*(b - s*a)); heights h are ordered as the abscissas
-    # of the points (h, 0)
-    if event_list:
-        x, y, w = event_list[0][1][0]
-        num_x, den_x = x + s * y - w, w
-    else:
-        num_x, den_x = -1, 1
-    heights = []
-    for a, b, c in lines:
-        num, den = c * den_x - a * num_x, den_x * (b - s * a)
-        heights.append((num, 0, den) if den > 0 else (-num, 0, -den))
-    keys = _abscissas(_fixed_point(heights), 0)
-    order = sorted(range(m), key=keys.__getitem__)
-    if len(set(keys)) != m:
-        raise ArrangementError("base fiber meets a crossing; shear is degenerate")
-
-    relators, _ = _cross_events(order, [idx for _, (_, idx) in event_list])
-    names = [f"x{order[i] + 1}" for i in range(m)]
+    s, xs = _choose_shear(lines, _fixed_point(by_point))
+    events = [idx for _, idx in sorted(zip(xs, by_point.values()), key=itemgetter(0))]
+    keys = _fixed_point_keys([(a, c, b - s * a) if b > s * a else (-a, -c, s * a - b)
+                              for a, b, c in lines])
+    order = sorted(range(len(lines)), key=keys.__getitem__)
+    relators, _ = _cross_events(order, events)
+    names = [f"x{i + 1}" for i in order]
     pres = presentation(names, map(Word._reduced, relators))
     return pres, SweepProvenance(shear=s, wire_lines=tuple(order))

@@ -27,6 +27,7 @@ from .arrangements import (
     ClassLabel,
     ClosedForm,
     FAMILIES,
+    FAMILY_BY_LABEL,
     IntersectionData,
     classify_arrangement,
     combinatorial_bounds,
@@ -179,13 +180,7 @@ def cmd_analyze(args) -> int:
     bounds_doc = _bounds_json(data, label)
 
     if args.presentation == "family":
-        family_by_label = {
-            "Pencil": "pencil",
-            "NearPencil": "near-pencil",
-            "AllParallel": "parallel",
-            "GenericPosition": "generic",
-        }
-        family = family_by_label.get(label.label)
+        family = FAMILY_BY_LABEL.get(label.label)
         if family is None:
             raise CliFailure(
                 EXIT_PARSE,
@@ -243,7 +238,13 @@ def cmd_invariants(args) -> int:
     return EXIT_OK
 
 
+_CURVE_KEYS = ("m", "r", "tangents")
+
+
 def _parse_curve_line(text: str) -> dict | None:
+    """The fields of the first ``curve:`` line, or None when there is none.
+    Each key of ``_CURVE_KEYS`` must appear once, with a nonnegative
+    integer value, and no other key may appear."""
     for raw in text.splitlines():
         stripped = raw.split("#", 1)[0].strip()
         if not stripped.startswith("curve:"):
@@ -253,11 +254,17 @@ def _parse_curve_line(text: str) -> dict | None:
             key, eq, value = token.partition("=")
             if not eq:
                 raise ArrangementError(f"malformed curve token {token!r}")
+            if key not in _CURVE_KEYS:
+                raise ArrangementError(f"unknown curve key in token {token!r}")
+            if key in fields:
+                raise ArrangementError(f"repeated curve key in token {token!r}")
             try:
                 fields[key] = int(value)
             except ValueError:
                 raise ArrangementError(f"malformed curve token {token!r}") from None
-        for key in ("m", "r", "tangents"):
+            if fields[key] < 0:
+                raise ArrangementError(f"negative curve value in token {token!r}")
+        for key in _CURVE_KEYS:
             if key not in fields:
                 raise ArrangementError(f"curve line is missing {key}=")
         return fields

@@ -22,6 +22,7 @@ from .alexinv import (
     delta0_via_pid_exact,
 )
 from .arrangements import (
+    Line,
     classify_arrangement,
     combinatorial_bounds,
     curve_at_infinity_bound,
@@ -58,8 +59,6 @@ TREFOIL_DSL = "gens: a b\nrel: a b a b^-1 a^-1 b^-1\n"
 def nodal_transversal_arrangement() -> list:
     """Pencil of three lines through the origin plus y = 2x + 1, which meets
     each of them in a separate double point."""
-    from .arrangements import Line
-
     return [
         Line.of(0, 1, 0),
         Line.of(1, -1, 0),
@@ -69,8 +68,6 @@ def nodal_transversal_arrangement() -> list:
 
 
 def two_parallel_pairs_arrangement() -> list:
-    from .arrangements import Line
-
     return [Line.of(0, 1, 0), Line.of(0, 1, 1), Line.of(1, 0, 0), Line.of(1, 0, 1)]
 
 

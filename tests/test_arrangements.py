@@ -14,10 +14,10 @@ from alexarr.arrangements import (
     ArrangementError,
     Line,
     SweepProvenance,
-    _abscissas,
     _choose_shear,
     _cross_events,
     _fixed_point,
+    _fixed_point_keys,
     _lines_through_points,
     classify_arrangement,
     combinatorial_bounds,
@@ -500,7 +500,7 @@ def small_arrangements(draw, coef=coef):
 
 
 def search_shear(lines):
-    return _choose_shear(lines, _fixed_point(_lines_through_points(lines)))
+    return _choose_shear(lines, _fixed_point(_lines_through_points(lines)))[0]
 
 
 @settings(max_examples=300, deadline=None)
@@ -539,10 +539,13 @@ def point_triples(draw):
 @settings(max_examples=300, deadline=None)
 @given(point_triples(), st.integers(0, 3))
 def test_fixed_point_abscissas_order_like_fractions(points, s):
-    keys = _abscissas(_fixed_point(points), s)
-    exact = [Fraction(x + s * y, w) for x, y, w in points]
+    # the keys of the sheared points (X + s*Y, Y, W): abscissas first
+    keys = _fixed_point_keys([(x + s * y, y, w) for x, y, w in points])
+    exact = [(Fraction(x + s * y, w), Fraction(y, w)) for x, y, w in points]
     for k1, f1 in zip(keys, exact):
         for k2, f2 in zip(keys, exact):
+            assert (k1[0] < k2[0]) == (f1[0] < f2[0])
+            assert (k1[0] == k2[0]) == (f1[0] == f2[0])
             assert (k1 < k2) == (f1 < f2)
             assert (k1 == k2) == (f1 == f2)
 
@@ -551,8 +554,13 @@ def test_fixed_point_abscissas_order_like_fractions(points, s):
 @given(small_arrangements())
 def test_shear_search_matches_forbidden_set_oracle(lines):
     by_point = _lines_through_points(lines)
-    s = _choose_shear(lines, _fixed_point(by_point))
+    s, xs = _choose_shear(lines, _fixed_point(by_point))
     assert s == forbidden_set_shear(lines)
+    # the abscissas of the accepted shear, floor((X + s*Y) * 2**B / W) with
+    # B twice the bit length of the largest W, pairwise distinct
+    bits = 2 * max((w for _, _, w in by_point), default=1).bit_length()
+    assert xs == [((x + s * y) << bits) // w for x, y, w in by_point]
+    assert len(set(xs)) == len(xs)
     # shearing the points gives the meeting points of the sheared lines
     sheared_points = {(x + s * y, y, w): idx for (x, y, w), idx in by_point.items()}
     assert sheared_points == _lines_through_points([ln.shear(s) for ln in lines])
@@ -661,23 +669,23 @@ def test_large_sweep(lines):
 
 def quadratic_sweep(lines):
     """Oracle: the sweep with the event loop that rebuilds each block
-    product, each rotation and each conjugator from scratch.  Returns the
-    presentation, the provenance, the base order, the events crossed and
-    the final wire words."""
+    product, each rotation and each conjugator from scratch.  It takes the
+    shear from `forbidden_set_shear`, orders the events by their sheared
+    abscissas in fractions and the base fiber by the heights of the lines
+    one unit left of the first event.  Returns the presentation, the
+    provenance, the base order, the events crossed and the final wire
+    words."""
     by_point = _lines_through_points(lines)
-    scaled = _fixed_point(by_point)
-    s = _choose_shear(lines, scaled)
+    s = forbidden_set_shear(lines)
     m = len(lines)
-    xs = _abscissas(scaled, s)
-    event_list = sorted(zip(xs, by_point.items()), key=lambda e: e[0])
-    if event_list:
-        x, y, w = event_list[0][1][0]
-        base_x = Fraction(x + s * y, w) - 1
-    else:
-        base_x = Fraction(-1)
+    xs = [Fraction(x + s * y, w) for x, y, w in by_point]
+    assert len(set(xs)) == len(xs)
+    event_list = sorted(zip(xs, by_point.values()), key=lambda e: e[0])
+    base_x = event_list[0][0] - 1 if event_list else Fraction(-1)
     heights = [(c - a * base_x) / (b - s * a) for a, b, c in lines]
+    assert len(set(heights)) == m
     order = sorted(range(m), key=heights.__getitem__)
-    events = [idx for _, (_, idx) in event_list]
+    events = [idx for _, idx in event_list]
 
     pos_of = {line_idx: pos for pos, line_idx in enumerate(order)}
     wires = list(order)
@@ -713,7 +721,7 @@ def quadratic_sweep(lines):
             pos_of[wires[pos]] = pos
 
     pres = presentation([f"x{order[i] + 1}" for i in range(m)], relators)
-    prov = SweepProvenance(shear=Fraction(s), wire_lines=tuple(order))
+    prov = SweepProvenance(shear=s, wire_lines=tuple(order))
     return pres, prov, order, events, words
 
 
@@ -734,12 +742,28 @@ def pencil_and_strays(seed, k, strays):
     return list(lines)
 
 
+def shuffled_parallels(seed, m):
+    """m distinct parallel lines k*a*x + k*b*y = c, (a, b) a drawn direction
+    (vertical included), k in 1..3 and c drawn: a sweep without events whose
+    wires have equal slopes from unequal coefficients, in a drawn order."""
+    rng = random.Random(seed)
+    a, b = rng.choice([(1, 0), (0, 1), (1, 1), (2, -3), (3, 2)])
+    lines = {}
+    while len(lines) < m:
+        k = rng.randint(1, 3)
+        lines.setdefault(Line.of(k * a, k * b, rng.randint(-6, 6)), None)
+    return list(lines)
+
+
 ORACLE_SWEEPS = (
     [family_arrangement("pencil", m) for m in range(3, 11)]
     + [family_arrangement("near-pencil", m) for m in range(2, 9)]
     + [pencil_and_strays(seed, k, seed % 4) for seed, k in enumerate(range(3, 11))]
     + [lines_of(*random_arrangement(seed, 3 + seed % 10, lo=-2, hi=2))
        for seed in range(40)]
+    + [family_arrangement("parallel", m) for m in range(1, 6)]
+    + [shuffled_parallels(seed, 1 + seed % 5) for seed in range(15)]
+    + [lines_of(*random_arrangement(seed, 3 + seed % 10, den=4)) for seed in range(20)]
 )
 
 

@@ -368,6 +368,11 @@ TWO_PARALLEL_PAIRS = "line: 1 0 0\nline: 1 0 1\nline: 0 1 0\nline: 0 1 1\n"
      "classification Other has no closed-form family presentation"),
     (["invariants"], "gens: a\ngens: b\n", "line 2: repeated gens line"),
     (["invariants"], "meridians: a\ngens: a\n", "line 1: meridians before gens"),
+    (["bounds"], "curve: m=4 r=3 tangents=1 tangent=5\n",
+     "unknown curve key in token 'tangent=5'"),
+    (["bounds"], "curve: m=4 m=5 r=4 tangents=1\n", "repeated curve key in token 'm=5'"),
+    (["bounds"], "curve: m=4 r=3 tangents=-1\n",
+     "negative curve value in token 'tangents=-1'"),
 ])
 def test_usage_error_exit_2_with_message(tmp_path, capsys, argv, text, message):
     if text is not None:
