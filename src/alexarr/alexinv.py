@@ -27,12 +27,14 @@ Route two localizes: every variable is rewritten as u_i * t, with u = 1
 for one distinguished variable (the first, by default), and the module is
 diagonalized over the PID K[t^{±1}], K the rational-function field in the
 other u's; the free rank and the total t-degree of the torsion give the
-answer.  `delta0_via_pid` specializes the u's at a random point of
-(F_p^*)^(s-1), p = 2^61 - 1, and diagonalizes over F_p[t^{±1}] with the one
-elimination kernel; three independent draws must agree.
-`delta0_via_pid_exact` keeps the exact arithmetic over K as the oracle of
-the tests and the selftest.  The two routes agree, including the infinite
-cases, and the tests enforce this on the whole corpus.
+answer.  `delta0_via_pid` draws a point of (F_p^*)^(s-1) for each p of
+PRIMES = (2^61 - 1, 2^61 - 31, 2^61 - 45), joins the three by the Chinese
+remainder theorem into one point mod N = p1 p2 p3, and diagonalizes once
+over (Z/N)[t^{±1}]; read mod p_j, that diagonal form is draw j's, and the
+draws must agree.  `delta0_via_pid_exact` keeps the exact arithmetic over
+K as the oracle of the tests and the selftest.  The two routes agree,
+including the infinite cases, and the tests enforce this on the whole
+corpus.
 
 Error of a draw.  Let r be the rank over K of the substituted n x q
 matrix, d the largest u-degree of a term once each u_i is shifted by its
@@ -52,19 +54,26 @@ a nonzero polynomial in the u's with three factors:
   of at most 2 r w rows, each of u-degree at most r d.
 
 So D = r d (3 + 2 r w), and by the Schwartz-Zippel lemma (Schwartz 1980;
-Zippel 1979) a draw uniform in F_p^* is bad with probability at most
-D / (p - 1), about D / p = D * 2^-61.  The bound assumes p does not divide
+Zippel 1979) draw j, uniform in F_p_j^*, is bad with probability at most
+D / (p_j - 1) <= D / (2^61 - 46).  The bound assumes that no p_j divides
 every coefficient of that polynomial.  A wrong answer needs three bad
-draws that agree, at most (D / (p - 1))^3; a false disagreement, which
-stops the run, at most 3 D / (p - 1).  Under routes="both" the reported
-degree is the exact degree route's, so a bad draw can only turn into a
-reported route disagreement, never a wrong degree.
+draws that agree, at most (D / (2^61 - 46))^3; a false disagreement, which
+stops the run, at most 3 D / (2^61 - 46).  Under routes="both" the
+reported degree is the exact degree route's, so a bad draw can only turn
+into a reported route disagreement, never a wrong degree.
+
+Over Z/N a leading coefficient can be a nonzero non-unit, zero mod some
+p_j only; the elimination cannot divide by it, and the route draws a fresh
+point, ATTEMPTS times in all, then raises SpecializationError.  A finished
+elimination is exact whatever its pivots, so a redraw changes no answer;
+it can raise the bounds above by the factor 1 / (1 - e), e its chance.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from math import gcd, prod
 
 from .foxcalc import AlexanderMatrix, alexander_matrix
 from .groups import Presentation, abelianize
@@ -72,6 +81,7 @@ from .ringkit import (
     PRIME,
     LaurentPolynomial,
     Matrix,
+    ModPoly,
     degree_spread,
     diagonalize_mod_p,
     diagonalize_over_pid,
@@ -83,7 +93,10 @@ from .ringkit import (
     unit_normalize,
 )
 
-DRAWS = 3
+PRIMES = (PRIME, (1 << 61) - 31, (1 << 61) - 45)
+DRAWS = len(PRIMES)
+MODULUS = prod(PRIMES)
+ATTEMPTS = 3
 
 
 class InconsistentPresentationError(ValueError):
@@ -92,7 +105,7 @@ class InconsistentPresentationError(ValueError):
 
 
 class SpecializationError(RuntimeError):
-    """Independent random draws of the localized route disagree."""
+    """Random draws of the localized route disagree or cannot be eliminated."""
 
 
 @dataclass(frozen=True)
@@ -233,32 +246,44 @@ def delta0_via_pid_exact(source, distinguished: int = 0) -> Delta0:
 
 
 def delta0_via_pid(source, distinguished: int = 0) -> Delta0:
-    """Localized route over F_p[t^{±1}] at random points.
+    """Localized route at DRAWS random points, one elimination over
+    (Z/N)[t^{±1}] for all of them.
 
-    Each draw maps the Fox entries straight to F_p[t^{±1}]: a term c * x^e
-    becomes c * prod_i u_i^(e_i) mod p in t-degree sum(e), with u = 1 for
-    the distinguished variable and u_i uniform in [1, p) for the others.
-    The DRAWS independent draws must give the same free rank and torsion
-    degree, or SpecializationError is raised.  The module docstring bounds
-    the chance of a bad draw by D / (p - 1).
+    A term c * x^e of a Fox entry becomes c * prod_i u_i^(e_i) mod N in
+    t-degree sum(e), with u = 1 for the distinguished variable and u_i a
+    uniform unit mod N for the others.  The draws' (free rank, torsion
+    degree) must agree, or SpecializationError is raised; the module
+    docstring bounds the error and states when a fresh point is drawn.
     """
     A = _localized_matrix(source, distinguished)
     psi = [1] * A.num_vars
     rng = random.SystemRandom()  # os.urandom, not the seedable global state
-    seen = []
-    for _ in range(DRAWS):
-        points = [1 if i == distinguished else rng.randrange(1, PRIME)
-                  for i in range(A.num_vars)]
-        factors, free_rank = diagonalize_mod_p(Matrix(
-            [[specialize(p, psi, points) for p in row] for row in A.matrix.entries],
-            A.rows, A.cols))
-        seen.append((free_rank, sum(f.spread() for f in factors)))
-    if len(set(seen)) > 1:
-        raise SpecializationError(
-            "localized route: random specializations mod 2^61 - 1 disagree, "
-            f"(free rank, torsion degree) = {seen}"
-        )
-    return _localized_degree(factors, free_rank)
+    for _ in range(ATTEMPTS):
+        points = [int(i == distinguished) for i in range(A.num_vars)]
+        for i in range(A.num_vars):
+            while gcd(points[i], MODULUS) != 1:
+                points[i] = rng.randrange(1, MODULUS)
+        try:
+            diagonal, _ = diagonalize_mod_p(Matrix(
+                [[specialize(p, psi, points, MODULUS) for p in row]
+                 for row in A.matrix.entries], A.rows, A.cols))
+        except ValueError:  # a leading coefficient is zero mod some p_j only
+            continue
+        seen = []
+        for p in PRIMES:
+            factors = [f for f in (ModPoly([c % p for c in d.coeffs], d.low, p)
+                                   for d in diagonal) if f]
+            seen.append((A.rows - len(factors), sum(f.spread() for f in factors)))
+        if len(set(seen)) > 1:
+            raise SpecializationError(
+                "localized route: random specializations mod 2^61 - 1, 2^61 - 31 and "
+                f"2^61 - 45 disagree, (free rank, torsion degree) = {seen}"
+            )
+        return _localized_degree(factors, seen[-1][0])
+    raise SpecializationError(
+        f"localized route: {ATTEMPTS} random points each met a leading coefficient "
+        "that is zero modulo some of the primes but not all"
+    )
 
 
 def characteristic_codim_flag(delta: LaurentPolynomial) -> bool:

@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import re
 import sys
 from pathlib import Path
 
@@ -244,7 +245,7 @@ _CURVE_KEYS = ("m", "r", "tangents")
 def _parse_curve_line(text: str) -> dict | None:
     """The fields of the first ``curve:`` line, or None when there is none.
     Each key of ``_CURVE_KEYS`` must appear once, with a nonnegative
-    integer value, and no other key may appear."""
+    integer value in ASCII digits, and no other key may appear."""
     for raw in text.splitlines():
         stripped = raw.split("#", 1)[0].strip()
         if not stripped.startswith("curve:"):
@@ -258,10 +259,9 @@ def _parse_curve_line(text: str) -> dict | None:
                 raise ArrangementError(f"unknown curve key in token {token!r}")
             if key in fields:
                 raise ArrangementError(f"repeated curve key in token {token!r}")
-            try:
-                fields[key] = int(value)
-            except ValueError:
-                raise ArrangementError(f"malformed curve token {token!r}") from None
+            if not re.fullmatch(r"[+-]?[0-9]+", value):
+                raise ArrangementError(f"malformed curve token {token!r}")
+            fields[key] = int(value)
             if fields[key] < 0:
                 raise ArrangementError(f"negative curve value in token {token!r}")
         for key in _CURVE_KEYS:

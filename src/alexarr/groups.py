@@ -14,6 +14,7 @@ optional; without it every generator is treated as a meridian.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from operator import eq, neg
 from typing import Iterable, Sequence
@@ -187,10 +188,9 @@ def _parse_token(token: str, index_of: dict) -> list:
         raise PresentationError(f"unknown generator name {name!r}")
     power = 1
     if caret:
-        try:
-            power = int(exp)
-        except ValueError:
-            raise PresentationError(f"malformed exponent in token {token!r}") from None
+        if not re.fullmatch(r"[+-]?[0-9]+", exp):
+            raise PresentationError(f"malformed exponent in token {token!r}")
+        power = int(exp)
         if power == 0:
             return []
     idx = index_of[name]

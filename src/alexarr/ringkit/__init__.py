@@ -1,6 +1,6 @@
 """Commutative-algebra kernel: Laurent polynomials, integer normal forms,
 rational-function coefficients and diagonalization over the univariate PID
-they generate, and diagonalization over F_p[t^{±1}] at specialized points."""
+they generate, and diagonalization over (Z/n)[t^{±1}] at specialized points."""
 
 from .laurent import (
     LaurentPolynomial,

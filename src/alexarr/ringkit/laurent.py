@@ -514,17 +514,17 @@ def _gcd_free_of(p: LaurentPolynomial, q: LaurentPolynomial, main: int) -> bool:
     coefficients survive, so a degree-zero specialized gcd is a
     certificate.  The degree is the ordinary one, powers of the main
     variable included: the constant coefficient may collapse, so a shared
-    power of the main variable gives False, and otherwise the Laurent gcd
-    that `diagonalize_mod_p` finds must be a unit.  A collapsed leading
-    coefficient gives False, which only sends the caller to the
+    power of the main variable gives False, and otherwise the Laurent gcd,
+    the entry that `diagonalize_mod_p` finds, must be a unit.  A collapsed
+    leading coefficient gives False, which only sends the caller to the
     subresultant pseudo-remainder sequence."""
     points = [pow(5, 7 * i + 1, PRIME) % 1000003 + 2 for i in range(p.num_vars)]
     ca = _specialized_coeffs(p, main, points)
     cb = _specialized_coeffs(q, main, points)
     if ca is None or cb is None or min(ca.low, cb.low) > 0:
         return False
-    factors, _ = diagonalize_mod_p(Matrix([[ca, cb]], 1, 2))
-    return not factors
+    (gcd,), _ = diagonalize_mod_p(Matrix([[ca, cb]], 1, 2))
+    return not gcd.spread()
 
 
 def _monomial_gcd_with(p: LaurentPolynomial, q: LaurentPolynomial) -> LaurentPolynomial:

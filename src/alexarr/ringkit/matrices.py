@@ -1,4 +1,4 @@
-"""Matrices: one matrix type for Z, Z[H], K[t^±1] and F_p[t^±1] with one
+"""Matrices: one matrix type for Z, Z[H], K[t^±1] and (Z/n)[t^±1] with one
 determinant, one Euclidean elimination kernel, the integer Smith normal form
 built on it, and the minor enumerator."""
 
@@ -10,10 +10,10 @@ from typing import Iterable, Sequence
 
 
 class Matrix:
-    """Dense matrix over a commutative ring: Z, Z[H], K[t^±1] or F_p[t^±1].
+    """Dense matrix over a commutative ring: Z, Z[H], K[t^±1] or (Z/n)[t^±1].
 
     Entries are ints, LaurentPolynomials, UniPolys (over K = Q(u)) or
-    ModPolys (over F_p); they test as zero by truth value, as in
+    ModPolys (over Z/n); they test as zero by truth value, as in
     `_eliminate`.
     """
 
@@ -116,9 +116,7 @@ def _eliminate(a: list, rows: int, cols: int, size, divide, *, chain: bool) -> i
     quotient map, so every reported polynomial depends on it) and
     `diagonalize_over_pid` (whose entries are the invariant factors).
     `diagonalize_mod_p` passes chain=False: its callers read only the rank
-    and the entries' spreads (the localized route their sum, the length of
-    the torsion; the laurent gcd's coprimality certificate whether the one
-    entry of a 1 x 2 matrix is a unit), which any diagonal form gives.
+    and the entries' spreads, which any diagonal form gives.
     """
     width = len(a[0]) if a else 0
 

@@ -1,7 +1,7 @@
 """Elementary ideals, Alexander polynomials, and the two degree routes."""
 
 import random
-from math import gcd
+from math import gcd, prod
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -29,7 +29,7 @@ from alexarr.arrangements import (
 )
 from alexarr.foxcalc import alexander_matrix
 from alexarr.groups import Word, parse_presentation, presentation
-from alexarr.ringkit import LaurentPolynomial, degree_spread, laurent_gcd, unit_normalize
+from alexarr.ringkit import LaurentPolynomial, ModPoly, degree_spread, laurent_gcd, unit_normalize
 from alexarr.selftest import (
     HOPF_DSL,
     TREFOIL_DSL,
@@ -329,22 +329,74 @@ def test_modular_pid_route_draws_fresh_points(monkeypatch):
     drawn = []
     original = alexinv.specialize
 
-    def recording(p, psi, points):
-        drawn.append(tuple(points))
-        return original(p, psi, points)
+    def recording(p, psi, points, mod):
+        drawn.append((tuple(points), mod))
+        return original(p, psi, points, mod)
 
     monkeypatch.setattr(alexinv, "specialize", recording)
     delta0_via_pid(family_presentation("pencil", 3), distinguished=1)
-    points = set(drawn)
-    assert len(points) == alexinv.DRAWS
-    assert all(pt[1] == 1 and 0 < pt[0] < alexinv.PRIME for pt in points)
+    # one point mod N = p1*p2*p3 per run; its residues are the draws
+    ((point, mod),) = set(drawn)
+    assert mod == prod(alexinv.PRIMES) == alexinv.MODULUS
+    draws = {tuple(u % p for u in point) for p in alexinv.PRIMES}
+    assert len(draws) == len(alexinv.PRIMES) == alexinv.DRAWS
+    for p in alexinv.PRIMES:
+        residues = [u % p for u in point]
+        assert residues[1] == 1 and all(0 < u < p for u in residues)
 
 
-def test_disagreeing_draws_stop_the_modular_route(monkeypatch):
-    answers = iter([([], 1), ([], 2), ([], 1)])
-    monkeypatch.setattr(alexinv, "diagonalize_mod_p", lambda M: next(answers))
-    with pytest.raises(SpecializationError, match="localized route"):
+# t + p1 is t mod p1 but t + (p1 mod pj) mod the other primes; the constant
+# p1 is zero only mod p1, so it drops the rank of the first draw alone
+@pytest.mark.parametrize("coeffs", [[alexinv.PRIMES[0], 1], [alexinv.PRIMES[0]]])
+def test_disagreeing_draws_stop_the_modular_route(monkeypatch, coeffs):
+    entry = ModPoly(coeffs, 0, alexinv.MODULUS)
+    monkeypatch.setattr(alexinv, "diagonalize_mod_p", lambda M: ([entry], M.rows - 1))
+    with pytest.raises(SpecializationError, match="localized route.*disagree"):
         delta0_via_pid(family_presentation("pencil", 3))
+
+
+class ScriptedRng:
+    """Stands in for random.SystemRandom: the scripted values, then 2."""
+
+    def __init__(self, values):
+        self.values = list(values)
+        self.drawn = []
+
+    def randrange(self, lo, hi):
+        self.drawn.append(self.values.pop(0) if self.values else 2)
+        return self.drawn[-1]
+
+
+# Hopf link, b -> u t: the pivot 1 - u t leaves the remainder u^-1 - 1 of
+# t - 1, and at u = 1 + p1 that remainder is zero mod p1 alone, so the next
+# division must invert a nonzero non-unit mod N
+HOPF_BAD_POINT = 1 + alexinv.PRIMES[0]
+
+
+def test_non_unit_leading_coefficient_draws_a_fresh_point(monkeypatch):
+    rng = ScriptedRng([HOPF_BAD_POINT])
+    monkeypatch.setattr(alexinv.random, "SystemRandom", lambda: rng)
+    eliminations = []
+    original = alexinv.diagonalize_mod_p
+
+    def counted(M):
+        eliminations.append(M)
+        return original(M)
+
+    monkeypatch.setattr(alexinv, "diagonalize_mod_p", counted)
+    assert delta0_via_pid(parse_presentation(HOPF_DSL)) == Delta0.of(0)
+    assert rng.drawn == [HOPF_BAD_POINT, 2]
+    assert len(eliminations) == 2
+    with pytest.raises(ValueError):
+        original(eliminations[0])
+
+
+def test_non_unit_leading_coefficients_up_to_the_cap_stop_the_route(monkeypatch):
+    rng = ScriptedRng([HOPF_BAD_POINT] * alexinv.ATTEMPTS)
+    monkeypatch.setattr(alexinv.random, "SystemRandom", lambda: rng)
+    with pytest.raises(SpecializationError, match="leading coefficient that is zero modulo"):
+        delta0_via_pid(parse_presentation(HOPF_DSL))
+    assert rng.drawn == [HOPF_BAD_POINT] * alexinv.ATTEMPTS
 
 
 def test_route_equivalence_across_corpus():

@@ -373,6 +373,9 @@ TWO_PARALLEL_PAIRS = "line: 1 0 0\nline: 1 0 1\nline: 0 1 0\nline: 0 1 1\n"
     (["bounds"], "curve: m=4 m=5 r=4 tangents=1\n", "repeated curve key in token 'm=5'"),
     (["bounds"], "curve: m=4 r=3 tangents=-1\n",
      "negative curve value in token 'tangents=-1'"),
+    # int() alone would read an Arabic-Indic four as 4 and 0_1 as 1
+    (["bounds"], "curve: m=\u0664 r=3 tangents=1\n", "malformed curve token 'm=\u0664'"),
+    (["bounds"], "curve: m=4 r=3 tangents=0_1\n", "malformed curve token 'tangents=0_1'"),
 ])
 def test_usage_error_exit_2_with_message(tmp_path, capsys, argv, text, message):
     if text is not None:
@@ -407,11 +410,14 @@ def test_analyze_pid_route_on_a3_plus_two_nodal_lines(tmp_path, capsys):
 
 
 def test_disagreeing_draws_exit_4(tmp_path, monkeypatch, capsys):
-    # a bad draw has probability below 2^-40 here, so fake one
+    # a bad draw has probability below 2^-40 here, so fake the diagonal form
+    # mod p1*p2*p3: the constant p3 is zero only mod p3, so the third draw
+    # reads one free summand more than the other two
     import alexarr.alexinv as alexinv
+    from alexarr.ringkit import ModPoly
 
-    answers = iter([([], 1), ([], 1), ([], 2)])
-    monkeypatch.setattr(alexinv, "diagonalize_mod_p", lambda M: next(answers))
+    entry = ModPoly([alexinv.PRIMES[2]], 0, alexinv.MODULUS)
+    monkeypatch.setattr(alexinv, "diagonalize_mod_p", lambda M: ([entry], M.rows - 1))
     f = tmp_path / "hopf.pres"
     f.write_text("gens: a b\nrel: a b a^-1 b^-1\n")
     assert main(["invariants", str(f)]) == 4
