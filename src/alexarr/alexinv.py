@@ -263,15 +263,15 @@ def delta0_via_pid(source, distinguished: int = 0) -> Delta0:
         for i in range(A.num_vars):
             while gcd(points[i], MODULUS) != 1:
                 points[i] = rng.randrange(1, MODULUS)
+        M = Matrix([[specialize(p, psi, points, MODULUS) for p in row]
+                    for row in A.matrix.entries], A.rows, A.cols)
         try:
-            diagonal, _ = diagonalize_mod_p(Matrix(
-                [[specialize(p, psi, points, MODULUS) for p in row]
-                 for row in A.matrix.entries], A.rows, A.cols))
+            diagonal, _ = diagonalize_mod_p(M)
         except ValueError:  # a leading coefficient is zero mod some p_j only
             continue
         seen = []
-        for p in PRIMES:
-            factors = [f for f in (ModPoly([c % p for c in d.coeffs], d.low, p)
+        for prime in PRIMES:
+            factors = [f for f in (ModPoly([c % prime for c in d.coeffs], d.low, prime)
                                    for d in diagonal) if f]
             seen.append((A.rows - len(factors), sum(f.spread() for f in factors)))
         if len(set(seen)) > 1:

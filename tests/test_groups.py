@@ -61,7 +61,7 @@ def test_parse_meridians_line():
         "gens: a\nrel: b\n",             # unknown generator
         "gens: a\nrel: a^x\n",           # malformed exponent
         "gens: a\nrel: a^1_0\n",         # int() would read 10
-        "gens: a\nrel: a^\u0663\n",        # int() would read an Arabic-Indic 3
+        "gens: a\nrel: a^\u0663\n",      # int() would read an Arabic-Indic 3
         "gens: a\nmeridians: b\n",       # unknown meridian
         "gens: a\nwhat: a\n",            # unknown key
         "just text\n",                   # no colon
