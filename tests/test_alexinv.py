@@ -345,14 +345,16 @@ def test_modular_pid_route_draws_fresh_points(monkeypatch):
         assert residues[1] == 1 and all(0 < u < p for u in residues)
 
 
-# t + p1 is t mod p1 but t + (p1 mod pj) mod the other primes; the constant
-# p1 is zero only mod p1, so it drops the rank of the first draw alone
-@pytest.mark.parametrize("coeffs", [[alexinv.PRIMES[0], 1], [alexinv.PRIMES[0]]])
-def test_disagreeing_draws_stop_the_modular_route(monkeypatch, coeffs):
-    entry = ModPoly(coeffs, 0, alexinv.MODULUS)
-    monkeypatch.setattr(alexinv, "diagonalize_mod_p", lambda M: ([entry], M.rows - 1))
-    with pytest.raises(SpecializationError, match="localized route.*disagree"):
-        delta0_via_pid(family_presentation("pencil", 3))
+def test_disagreeing_draws_stop_the_modular_route(monkeypatch):
+    # t + p1 is t mod p1 but t + (p1 mod pj) mod the other primes, so the
+    # torsion degrees disagree; the constant p1 is zero only mod p1, so it
+    # drops the rank of the first draw alone
+    p1 = alexinv.PRIMES[0]
+    for coeffs in ([p1, 1], [p1]):
+        entry = ModPoly(coeffs, 0, alexinv.MODULUS)
+        monkeypatch.setattr(alexinv, "diagonalize_mod_p", lambda M: ([entry], M.rows - 1))
+        with pytest.raises(SpecializationError, match="localized route.*disagree"):
+            delta0_via_pid(family_presentation("pencil", 3))
 
 
 class ScriptedRng:
