@@ -99,9 +99,12 @@ class IntersectionData:
 def _rational(token: str):
     """The value of a rational token: an ``int`` for an ASCII integer with
     at most one sign, where ``int`` and ``Fraction`` agree, else a
-    ``Fraction``."""
+    ``Fraction``.  A non-ASCII token raises ValueError: ``Fraction`` would
+    read other scripts' digits."""
+    if not token.isascii():
+        raise ValueError(f"non-ASCII token {token!r}")
     digits = token[1:] if token[0] in "+-" else token
-    if digits.isascii() and digits.isdigit():
+    if digits.isdigit():
         return int(token)
     return Fraction(token)
 

@@ -9,8 +9,9 @@ Commands:
 
 Exit codes: 0 success, 1 selftest failure, 2 parse/usage error,
 3 geometric inconsistency, 4 internal invariant violation (the two degree
-routes, or the random draws of the localized route, disagree, or under
---route both the localized route could not run).
+routes, or the random draws of the localized route, disagree; the
+localized route met a non-unit leading coefficient mod p1*p2*p3 on three
+draws; or under --route both the localized route could not run).
 """
 
 from __future__ import annotations

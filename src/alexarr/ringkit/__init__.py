@@ -5,7 +5,6 @@ they generate, and diagonalization over (Z/n)[t^{±1}] at specialized points."""
 from .laurent import (
     LaurentPolynomial,
     degree_spread,
-    divides,
     exact_divide,
     laurent_gcd,
     unit_normalize,
@@ -31,7 +30,6 @@ from .ratfunc import (
 __all__ = [
     "LaurentPolynomial",
     "degree_spread",
-    "divides",
     "exact_divide",
     "laurent_gcd",
     "unit_normalize",

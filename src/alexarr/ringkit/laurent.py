@@ -300,13 +300,9 @@ def unit_normalize(p: LaurentPolynomial) -> LaurentPolynomial:
     zero, and the sign is fixed so the graded-lex leading monomial has a
     positive coefficient.
     """
-    if p.is_zero():
-        return p
-    mins = p.min_exponents()
-    q = p.shift(tuple(-x for x in mins))
-    lead = max(q.terms, key=_grlex_key)
-    if q.terms[lead] < 0:
-        q = -q
+    q = _poly_part(p)
+    if q and q.terms[max(q.terms, key=_grlex_key)] < 0:
+        return -q
     return q
 
 
@@ -368,126 +364,86 @@ def exact_divide(p: LaurentPolynomial, d: LaurentPolynomial) -> LaurentPolynomia
     return quotient.shift(back)
 
 
-def divides(d: LaurentPolynomial, p: LaurentPolynomial) -> bool:
-    return exact_divide(p, d) is not None
-
-
 # ----------------------------------------------------------------------
 # multivariate gcd
 #
 # Recursive content / primitive-part reduction: pick the highest variable
-# appearing in both operands, view both as univariate over the subring in
-# the remaining variables, and run a subresultant pseudo-remainder
-# sequence on the primitive parts.  Two shortcuts keep the common cases
-# cheap: monomial operands are handled directly, and a modular
-# specialization certificate detects variables the gcd cannot involve
-# before any pseudo-division happens.
+# x_k appearing in both operands and read each operand, as it is, as a
+# polynomial in x_k over the ring of the other variables.  ``_lead``
+# gives the degree in x_k and the coefficient there; the content is the
+# gcd of the coefficients, peeled off from the top; the primitive part is
+# one exact division by the content.  A subresultant pseudo-remainder
+# sequence (Collins; Brown and Traub) on the primitive parts gives the
+# primitive gcd.  Two shortcuts keep the common cases cheap: monomial
+# operands are handled directly, and a modular specialization certificate
+# detects variables the gcd cannot involve before any pseudo-division
+# happens.
 
 
-def _split_by_var(p: LaurentPolynomial, k: int) -> dict:
-    """View p as univariate in variable k: degree -> coefficient polynomial."""
-    parts: dict = {}
-    for e, c in p.terms.items():
-        d = e[k]
-        e0 = e[:k] + (0,) + e[k + 1 :]
-        bucket = parts.setdefault(d, {})
-        bucket[e0] = bucket.get(e0, 0) + c
-    return {d: LaurentPolynomial(p.num_vars, t) for d, t in parts.items()}
+def _lead(p: LaurentPolynomial, k: int) -> tuple:
+    """(degree of nonzero p in variable k, its coefficient there with
+    x_k at exponent 0)."""
+    d = p.max_degree_in(k)
+    return d, LaurentPolynomial._trusted(
+        p.num_vars, {e[:k] + (0,) + e[k + 1 :]: c for e, c in p.terms.items() if e[k] == d}
+    )
 
 
-def _join_by_var(parts: dict, k: int, num_vars: int) -> LaurentPolynomial:
-    terms: dict = {}
-    for d, q in parts.items():
-        for e, c in q.terms.items():
-            e2 = e[:k] + (d,) + e[k + 1 :]
-            terms[e2] = terms.get(e2, 0) + c
-    return LaurentPolynomial(num_vars, terms)
+def _var_power(k: int, d: int, num_vars: int) -> tuple:
+    """The exponent vector of x_k^d."""
+    return (0,) * k + (d,) + (0,) * (num_vars - k - 1)
 
 
-def _uni_mul(parts: dict, g: LaurentPolynomial) -> dict:
-    out = {}
-    for d, q in parts.items():
-        prod = q * g
-        if not prod.is_zero():
-            out[d] = prod
-    return out
-
-
-def _uni_sub(a: dict, b: dict) -> dict:
-    out = dict(a)
-    for d, q in b.items():
-        s = out.get(d)
-        s = (-q) if s is None else (s - q)
-        if s.is_zero():
-            out.pop(d, None)
-        else:
-            out[d] = s
-    return out
-
-
-def _uni_shift(parts: dict, k: int) -> dict:
-    return {d + k: q for d, q in parts.items()}
-
-
-def _content(parts: dict) -> LaurentPolynomial:
+def _content(p: LaurentPolynomial, k: int) -> LaurentPolynomial:
+    """gcd of the coefficients of nonzero p in variable k, from the top."""
     g = None
-    for q in parts.values():
-        g = q if g is None else _poly_gcd(g, q)
+    while p:
+        d, c = _lead(p, k)
+        g = c if g is None else _poly_gcd(g, c)
         if g.is_constant() and abs(g.constant_value()) == 1:
             break
+        p = p - c.shift(_var_power(k, d, p.num_vars))
     return g
 
 
-def _primitive(parts: dict) -> tuple:
-    """(content, primitive part) of a polynomial split by ``_split_by_var``."""
-    cont = _content(parts)
+def _primitive(p: LaurentPolynomial, k: int) -> tuple:
+    """(content, primitive part) of nonzero p in variable k."""
+    cont = _content(p, k)
     if cont.is_constant() and abs(cont.constant_value()) == 1:
-        if cont.constant_value() == -1:
-            return cont, {d: -q for d, q in parts.items()}
-        return cont, parts
-    out = {}
-    for d, q in parts.items():
-        quot = exact_divide(q, cont)
-        assert quot is not None, "content must divide every coefficient"
-        out[d] = quot
-    return cont, out
+        return cont, p * cont.constant_value()
+    quot = exact_divide(p, cont)
+    assert quot is not None, "content must divide the polynomial"
+    return cont, quot
 
 
-def _pseudo_rem(a: dict, b: dict) -> dict:
-    """Exact pseudo-remainder lc(b)^(deg a - deg b + 1) * a mod b."""
-    db = max(b)
-    lcb = b[db]
-    steps = max(a) - db + 1
+def _pseudo_rem(a: LaurentPolynomial, b: LaurentPolynomial, k: int) -> LaurentPolynomial:
+    """Exact pseudo-remainder lc(b)^(deg a - deg b + 1) * a mod b in variable k."""
+    db, lcb = _lead(b, k)
+    steps = a.max_degree_in(k) - db + 1
     r = a
     used = 0
-    while r and max(r) >= db:
-        dr = max(r)
-        lcr = r[dr]
-        r = _uni_sub(_uni_mul(r, lcb), _uni_shift(_uni_mul(b, lcr), dr - db))
+    while r:
+        dr, lcr = _lead(r, k)
+        if dr < db:
+            break
+        r = r * lcb - (b * lcr).shift(_var_power(k, dr - db, r.num_vars))
         used += 1
     # pad to the exact prem power so subresultant divisions stay exact
-    for _ in range(steps - used):
-        r = _uni_mul(r, lcb)
-    return r
+    return r * lcb ** (steps - used)
 
 
-def _subresultant_prs(a: dict, b: dict, num_vars: int) -> dict:
-    """Last nonzero element of the subresultant PRS of primitive a, b."""
-    one = LaurentPolynomial.one(num_vars)
-    g, h = one, one
+def _subresultant_prs(a: LaurentPolynomial, b: LaurentPolynomial, k: int) -> LaurentPolynomial:
+    """Last nonzero element of the subresultant PRS of primitive a, b in variable k."""
+    g = h = LaurentPolynomial.one(a.num_vars)
     while True:
-        delta = max(a) - max(b)
-        r = _pseudo_rem(a, b)
+        delta = a.max_degree_in(k) - b.max_degree_in(k)
+        r = _pseudo_rem(a, b, k)
         if not r:
             return b
-        div = g * (h ** delta)
-        nxt = {}
-        for d, c in r.items():
-            quot = exact_divide(c, div)
-            assert quot is not None, "subresultant division must be exact"
-            nxt[d] = quot
+        nxt = exact_divide(r, g * h ** delta)
+        assert nxt is not None, "subresultant division must be exact"
         a, b = b, nxt
-        g = a[max(a)]
+        g = _lead(a, k)[1]
         if delta == 1:
             h = g
         elif delta > 1:
@@ -567,25 +523,19 @@ def _poly_gcd(p: LaurentPolynomial, q: LaurentPolynomial) -> LaurentPolynomial:
             _int_gcd(p.constant_value(), q.constant_value()), p.num_vars
         )
     if p.max_degree_in(main) == 0:
-        return _poly_gcd(p, _content(_split_by_var(q, main)))
+        return _poly_gcd(p, _content(q, main))
     if q.max_degree_in(main) == 0:
-        return _poly_gcd(_content(_split_by_var(p, main)), q)
+        return _poly_gcd(_content(p, main), q)
 
     if _gcd_free_of(p, q, main):
-        return _poly_gcd(
-            _content(_split_by_var(p, main)), _content(_split_by_var(q, main))
-        )
+        return _poly_gcd(_content(p, main), _content(q, main))
 
-    pu = _split_by_var(p, main)
-    qu = _split_by_var(q, main)
-    cp, a = _primitive(pu)
-    cq, b = _primitive(qu)
+    cp, a = _primitive(p, main)
+    cq, b = _primitive(q, main)
     cont = _poly_gcd(cp, cq)
-    if max(a) < max(b):
+    if a.max_degree_in(main) < b.max_degree_in(main):
         a, b = b, a
-    last = _subresultant_prs(a, b, p.num_vars)
-    g = _join_by_var(_primitive(last)[1], main, p.num_vars)
-    return cont * g
+    return cont * _primitive(_subresultant_prs(a, b, main), main)[1]
 
 
 def laurent_gcd(ps: Iterable[LaurentPolynomial]) -> LaurentPolynomial:

@@ -143,7 +143,7 @@ def test_degenerate_line_error_names_its_line(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("token", [
-    "+3", "-0", "007", "1_000", "\u0663", "+-3", "--3", "1e2", "1.5", "3/6",
+    "+3", "-0", "007", "1_000", "+-3", "--3", "1e2", "1.5", "3/6",
     "0x10", "\u00bd",
 ])
 def test_integer_tokens_parse_like_fractions(token, monkeypatch):

@@ -376,6 +376,8 @@ TWO_PARALLEL_PAIRS = "line: 1 0 0\nline: 1 0 1\nline: 0 1 0\nline: 0 1 1\n"
     # int() alone would read an Arabic-Indic four as 4 and 0_1 as 1
     (["bounds"], "curve: m=\u0664 r=3 tangents=1\n", "malformed curve token 'm=\u0664'"),
     (["bounds"], "curve: m=4 r=3 tangents=0_1\n", "malformed curve token 'tangents=0_1'"),
+    # Fraction alone would read an Arabic-Indic three as 3
+    (["bounds"], "line: 1 2 3\nline: \u0663 1 \u0663\n", "line 2: bad rational token"),
 ])
 def test_usage_error_exit_2_with_message(tmp_path, capsys, argv, text, message):
     if text is not None:

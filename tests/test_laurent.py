@@ -8,7 +8,6 @@ from hypothesis import given, settings, strategies as st
 from alexarr.ringkit import (
     LaurentPolynomial,
     degree_spread,
-    divides,
     exact_divide,
     laurent_gcd,
     unit_normalize,
@@ -180,7 +179,7 @@ def test_exact_divide_detects_nondivisor():
     t1, t2 = var(0), var(1)
     assert exact_divide(t1 - 1, t2 - 1) is None
     assert exact_divide(t1 ** 2 - 1, 2 * (t1 - 1)) is None  # coefficient fails
-    assert divides(t1 - 1, t1 ** 2 - 1)
+    assert exact_divide(t1 ** 2 - 1, t1 - 1) is not None
 
 
 # ----------------------------------------------------------------------
@@ -197,7 +196,7 @@ def test_gcd_coprime_distinct_variables():
     g = laurent_gcd(inputs)
     assert g == LaurentPolynomial.one(2)
     for p in inputs:
-        assert divides(g, p)
+        assert exact_divide(p, g) is not None
 
 
 def test_gcd_with_zero_returns_normalized_other():
@@ -279,38 +278,64 @@ def test_gcd_divides_every_input_randomized():
             continue
         g = laurent_gcd(inputs)
         for x in inputs:
-            assert divides(g, x)
+            assert exact_divide(x, g) is not None
         if not g0.is_zero():
-            assert divides(g0, g)
+            assert exact_divide(g, g0) is not None
 
 
-def test_gcd_against_sympy_cross_check():
+def _sympy_gcd(sympy, polys):
+    """laurent_gcd's answer for two polynomials with nonnegative exponents,
+    computed by sympy and unit-normalized."""
+    n = polys[0].num_vars
+    xs = sympy.symbols(f"x0:{n}")
+    theirs = sympy.gcd(*(sympy.Poly.from_dict(p.terms, *xs) for p in polys))
+    return unit_normalize(LaurentPolynomial(n, {
+        tuple(int(x) for x in mono): int(c)
+        for mono, c in zip(theirs.monoms(), theirs.coeffs())
+    }))
+
+
+def test_gcd_against_sympy_cross_check(monkeypatch):
     import sympy
 
+    from alexarr.ringkit import laurent
+
     rng = random.Random(41)
-    xs = sympy.symbols("x0 x1")
     for _ in range(40):
-        polys = []
-        sym_polys = []
-        for _ in range(2):
-            p = random_poly(rng, 2, max_terms=3, exp_range=(0, 3))
-            polys.append(p)
-            expr = sum(
-                c * xs[0] ** e[0] * xs[1] ** e[1] for e, c in p.terms.items()
-            )
-            sym_polys.append(sympy.Poly(expr, *xs) if expr != 0 else sympy.Poly(0, *xs))
+        polys = [random_poly(rng, 2, max_terms=3, exp_range=(0, 3)) for _ in range(2)]
         if all(p.is_zero() for p in polys):
             continue
-        ours = laurent_gcd(polys)
-        theirs = sympy.gcd(sym_polys[0], sym_polys[1])
-        theirs_lp = LaurentPolynomial(
-            2,
-            {
-                tuple(int(x) for x in mono): int(c)
-                for mono, c in zip(theirs.monoms(), theirs.coeffs())
-            },
-        )
-        assert ours == unit_normalize(theirs_lp)
+        assert laurent_gcd(polys) == _sympy_gcd(sympy, polys)
+
+    # three variables, a common factor in at least two of them: record the
+    # degree gaps the pseudo-remainders see and the contents that involve a
+    # variable, so the round is known to reach both
+    gaps, contents = [], []
+    pseudo_rem, content = laurent._pseudo_rem, laurent._content
+
+    def spy_pseudo_rem(a, b, k):
+        gaps.append(a.max_degree_in(k) - b.max_degree_in(k))
+        return pseudo_rem(a, b, k)
+
+    def spy_content(p, k):
+        c = content(p, k)
+        contents.append(c)
+        return c
+
+    monkeypatch.setattr(laurent, "_pseudo_rem", spy_pseudo_rem)
+    monkeypatch.setattr(laurent, "_content", spy_content)
+    done = 0
+    while done < 30:
+        g = random_poly(rng, 3, max_terms=3, exp_range=(0, 2))
+        if sum(1 for i in range(3) if g.max_degree_in(i) > 0) < 2 or len(g.terms) < 2:
+            continue
+        polys = [g * random_poly(rng, 3, max_terms=3, exp_range=(0, 3)) for _ in range(2)]
+        if any(p.is_zero() for p in polys):
+            continue
+        assert laurent_gcd(polys) == _sympy_gcd(sympy, polys)
+        done += 1
+    assert max(gaps) > 1
+    assert any(not c.is_constant() for c in contents)
 
 
 def gcd_fold_oracle(ps):
