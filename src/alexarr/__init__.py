@@ -8,7 +8,6 @@ from .alexinv import (
     Delta0,
     InconsistentPresentationError,
     InvariantReport,
-    SpecializationError,
     alexander_polynomial,
     characteristic_codim_flag,
     compute_invariants,

@@ -27,21 +27,18 @@ Route two localizes: every variable is rewritten as u_i * t, with u = 1
 for one distinguished variable (the first, by default), and the module is
 diagonalized over the PID K[t^{±1}], K the rational-function field in the
 other u's; the free rank and the total t-degree of the torsion give the
-answer.  `delta0_via_pid` draws a point of (F_p^*)^(s-1) for each p of
-PRIMES = (2^61 - 1, 2^61 - 31, 2^61 - 45), joins the three by the Chinese
-remainder theorem into one point mod N = p1 p2 p3, and diagonalizes once
-over (Z/N)[t^{±1}]; read mod p_j, that diagonal form is draw j's, and the
-draws must agree.  `delta0_via_pid_exact` keeps the exact arithmetic over
-K as the oracle of the tests and the selftest.  The two routes agree,
-including the infinite cases, and the tests enforce this on the whole
-corpus.
+answer.  `delta0_via_pid` replaces K by the prime field F_P, P = FIELD =
+2^192 - 2^64 - 1, at one random point and diagonalizes once over
+F_P[t^{±1}].  `delta0_via_pid_exact` keeps the exact arithmetic over K as
+the oracle of the tests and the selftest.  The two routes agree, including
+the infinite cases, and the tests enforce this on the whole corpus.
 
-Error of a draw.  Let r be the rank over K of the substituted n x q
+Error of the draw.  Let r be the rank over K of the substituted n x q
 matrix, d the largest u-degree of a term once each u_i is shifted by its
 least exponent over the matrix, and w the t-spread of all entries
 together.  Specialization never raises the rank, so a free rank of zero is
-never a false report.  A draw can move the answer only if it is a zero of
-a nonzero polynomial in the u's with three factors:
+never a false report.  The draw can move the answer only if it is a zero
+of a nonzero polynomial in the u's with three factors:
 
 - a nonzero t-coefficient of a nonzero r x r minor (else the rank drops),
   of u-degree at most r d;
@@ -54,34 +51,23 @@ a nonzero polynomial in the u's with three factors:
   of at most 2 r w rows, each of u-degree at most r d.
 
 So D = r d (3 + 2 r w), and by the Schwartz-Zippel lemma (Schwartz 1980;
-Zippel 1979) draw j, uniform in F_p_j^*, is bad with probability at most
-D / (p_j - 1) <= D / (2^61 - 46).  The bound assumes that no p_j divides
-every coefficient of that polynomial.  A wrong answer needs three bad
-draws that agree, at most (D / (2^61 - 46))^3; a false disagreement, which
-stops the run, at most 3 D / (2^61 - 46).  Under routes="both" the
-reported degree is the exact degree route's, so a bad draw can only turn
-into a reported route disagreement, never a wrong degree.
-
-Over Z/N a leading coefficient can be a nonzero non-unit, zero mod some
-p_j only; the elimination cannot divide by it, and the route draws a fresh
-point, ATTEMPTS times in all, then raises SpecializationError.  A finished
-elimination is exact whatever its pivots, so a redraw changes no answer;
-it can raise the bounds above by the factor 1 / (1 - e), e its chance.
+Zippel 1979) a point uniform in (F_P^*)^(s-1) is bad with probability at
+most D / (P - 1), provided P does not divide every coefficient of that
+polynomial.  Under routes="both" the reported degree is the exact degree
+route's, so a bad draw can only turn into a reported route disagreement,
+never a wrong degree.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from math import gcd, prod
 
 from .foxcalc import AlexanderMatrix, alexander_matrix
 from .groups import Presentation, abelianize
 from .ringkit import (
-    PRIME,
     LaurentPolynomial,
     Matrix,
-    ModPoly,
     degree_spread,
     diagonalize_mod_p,
     diagonalize_over_pid,
@@ -93,19 +79,12 @@ from .ringkit import (
     unit_normalize,
 )
 
-PRIMES = (PRIME, (1 << 61) - 31, (1 << 61) - 45)
-DRAWS = len(PRIMES)
-MODULUS = prod(PRIMES)
-ATTEMPTS = 3
+FIELD = (1 << 192) - (1 << 64) - 1  # prime (NIST P-192)
 
 
 class InconsistentPresentationError(ValueError):
     """The localized module has no free summand; the presentation cannot
     come from a connected curve complement with the claimed meridians."""
-
-
-class SpecializationError(RuntimeError):
-    """Random draws of the localized route disagree or cannot be eliminated."""
 
 
 @dataclass(frozen=True)
@@ -246,44 +225,20 @@ def delta0_via_pid_exact(source, distinguished: int = 0) -> Delta0:
 
 
 def delta0_via_pid(source, distinguished: int = 0) -> Delta0:
-    """Localized route at DRAWS random points, one elimination over
-    (Z/N)[t^{±1}] for all of them.
+    """Localized route at one random point, diagonalized over F_P[t^{±1}].
 
-    A term c * x^e of a Fox entry becomes c * prod_i u_i^(e_i) mod N in
-    t-degree sum(e), with u = 1 for the distinguished variable and u_i a
-    uniform unit mod N for the others.  The draws' (free rank, torsion
-    degree) must agree, or SpecializationError is raised; the module
-    docstring bounds the error and states when a fresh point is drawn.
+    A term c * x^e of a Fox entry becomes c * prod_i u_i^(e_i) mod P in
+    t-degree sum(e), with u = 1 for the distinguished variable and u_i
+    uniform in F_P^* for the others; the module docstring bounds the error.
     """
     A = _localized_matrix(source, distinguished)
-    psi = [1] * A.num_vars
     rng = random.SystemRandom()  # os.urandom, not the seedable global state
-    for _ in range(ATTEMPTS):
-        points = [int(i == distinguished) for i in range(A.num_vars)]
-        for i in range(A.num_vars):
-            while gcd(points[i], MODULUS) != 1:
-                points[i] = rng.randrange(1, MODULUS)
-        M = Matrix([[specialize(p, psi, points, MODULUS) for p in row]
-                    for row in A.matrix.entries], A.rows, A.cols)
-        try:
-            diagonal, _ = diagonalize_mod_p(M)
-        except ValueError:  # a leading coefficient is zero mod some p_j only
-            continue
-        seen = []
-        for prime in PRIMES:
-            factors = [f for f in (ModPoly([c % prime for c in d.coeffs], d.low, prime)
-                                   for d in diagonal) if f]
-            seen.append((A.rows - len(factors), sum(f.spread() for f in factors)))
-        if len(set(seen)) > 1:
-            raise SpecializationError(
-                "localized route: random specializations mod 2^61 - 1, 2^61 - 31 and "
-                f"2^61 - 45 disagree, (free rank, torsion degree) = {seen}"
-            )
-        return _localized_degree(factors, seen[-1][0])
-    raise SpecializationError(
-        f"localized route: {ATTEMPTS} random points each met a leading coefficient "
-        "that is zero modulo some of the primes but not all"
-    )
+    points = [1 if i == distinguished else rng.randrange(1, FIELD)
+              for i in range(A.num_vars)]
+    psi = [1] * A.num_vars
+    M = Matrix([[specialize(p, psi, points, FIELD) for p in row]
+                for row in A.matrix.entries], A.rows, A.cols)
+    return _localized_degree(*diagonalize_mod_p(M))
 
 
 def characteristic_codim_flag(delta: LaurentPolynomial) -> bool:

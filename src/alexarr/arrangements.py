@@ -65,13 +65,6 @@ class Line(NamedTuple):
         g = gcd(self.a, self.b)
         return (self.a // g, self.b // g)
 
-    def is_vertical(self) -> bool:
-        return self.b == 0
-
-    def shear(self, s) -> "Line":
-        """Image under (x, y) -> (x + s*y, y)."""
-        return Line.of(self.a, self.b - s * self.a, self.c)
-
     def __str__(self):
         a, b, c = (Fraction(v, self.a or self.b) for v in self)
         return f"{a}*x + {b}*y = {c}"
@@ -406,11 +399,19 @@ class CurveBoundReport:
 
 def curve_at_infinity_bound(m: int, r: int,
                             tangent_flags: Sequence[bool]) -> CurveBoundReport:
+    """The bound from one tangency flag per point at infinity."""
+    if 1 <= r <= m and len(tangent_flags) != r:
+        raise ArrangementError("one tangency flag per point at infinity")
+    return curve_bound_from_counts(m, r, sum(map(bool, tangent_flags)))
+
+
+def curve_bound_from_counts(m: int, r: int, tangents: int) -> CurveBoundReport:
+    """The bound from r points at infinity, tangents of them tangencies;
+    the same report and errors as `curve_at_infinity_bound` on r flags."""
     if not 1 <= r <= m:
         raise ArrangementError("need 1 <= r <= m")
-    if len(tangent_flags) != r:
+    if tangents > r:
         raise ArrangementError("one tangency flag per point at infinity")
-    tangents = sum(1 for f in tangent_flags if f)
     transversal = r - tangents
     if transversal + 2 * tangents != m:
         raise ArrangementError(

@@ -9,9 +9,8 @@ Commands:
 
 Exit codes: 0 success, 1 selftest failure, 2 parse/usage error,
 3 geometric inconsistency, 4 internal invariant violation (the two degree
-routes, or the random draws of the localized route, disagree; the
-localized route met a non-unit leading coefficient mod p1*p2*p3 on three
-draws; or under --route both the localized route could not run).
+routes disagree; under --route both the localized route could not run; or
+analyze's closed-form value differs from the computed degree).
 """
 
 from __future__ import annotations
@@ -23,7 +22,7 @@ import re
 import sys
 from pathlib import Path
 
-from .alexinv import InvariantReport, SpecializationError, compute_invariants
+from .alexinv import InvariantReport, compute_invariants
 from .arrangements import (
     ArrangementError,
     ClassLabel,
@@ -33,7 +32,7 @@ from .arrangements import (
     IntersectionData,
     classify_arrangement,
     combinatorial_bounds,
-    curve_at_infinity_bound,
+    curve_bound_from_counts,
     family_arrangement,
     family_presentation,
     intersect_arrangement,
@@ -276,8 +275,8 @@ def cmd_bounds(args) -> int:
     text = _read(args.path)
     curve = _guard(EXIT_PARSE, _parse_curve_line, text)
     if curve is not None:
-        flags = [True] * curve["tangents"] + [False] * (curve["r"] - curve["tangents"])
-        rep = _guard(EXIT_GEOMETRY, curve_at_infinity_bound, curve["m"], curve["r"], flags)
+        rep = _guard(EXIT_GEOMETRY, curve_bound_from_counts,
+                     curve["m"], curve["r"], curve["tangents"])
         doc = {
             "schema": SCHEMA_VERSION,
             "input": {"kind": "curve", **curve},
@@ -387,9 +386,6 @@ def main(argv=None) -> int:
     except CliFailure as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code
-    except SpecializationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

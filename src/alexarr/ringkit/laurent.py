@@ -203,10 +203,7 @@ class LaurentPolynomial:
         """Componentwise minimum exponent vector over all terms (zero poly -> zeros)."""
         if self.is_zero():
             return (0,) * self.num_vars
-        mins = None
-        for e in self.terms:
-            mins = e if mins is None else tuple(min(a, b) for a, b in zip(mins, e))
-        return mins
+        return tuple(map(min, zip(*self.terms)))
 
     def max_degree_in(self, k: int) -> int:
         return max((e[k] for e in self.terms), default=0)
@@ -486,7 +483,7 @@ def _gcd_free_of(p: LaurentPolynomial, q: LaurentPolynomial, main: int) -> bool:
 def _monomial_gcd_with(p: LaurentPolynomial, q: LaurentPolynomial) -> LaurentPolynomial:
     """gcd when p is a single term: common monomial times integer content gcd."""
     ((e, c),) = p.terms.items()
-    common = tuple(min(a, b) for a, b in zip(e, q.min_exponents()))
+    common = tuple(map(min, e, q.min_exponents()))
     coeff = _int_gcd(abs(c), q.integer_content())
     return LaurentPolynomial.monomial(coeff, common)
 
@@ -507,7 +504,7 @@ def _poly_gcd(p: LaurentPolynomial, q: LaurentPolynomial) -> LaurentPolynomial:
     # strip the common monomial factor; it multiplies back in at the end
     mp = p.min_exponents()
     mq = q.min_exponents()
-    common = tuple(min(a, b) for a, b in zip(mp, mq))
+    common = tuple(map(min, mp, mq))
     if any(common):
         return _poly_gcd(
             p.shift(tuple(-x for x in common)), q.shift(tuple(-x for x in common))

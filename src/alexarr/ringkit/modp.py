@@ -4,10 +4,10 @@ F_p[t^{±1}] is a principal ideal domain with the t-spread as a Euclidean
 function, so the one elimination kernel diagonalizes matrices over it.  A
 multivariate integer Laurent polynomial reaches it by specialization:
 t_i -> a_i * t^(psi_i) with the a_i units mod n.  The localized degree route
-specializes the Fox matrix mod a product n of primes, where each row or
-column operation is one over every factor F_p; the multivariate gcd
-specializes a pair at fixed points for its coprimality certificate and
-diagonalizes the 1 x 2 matrix they form, the kernel's Euclid for their gcd.
+specializes the Fox matrix at one random point mod the 192-bit prime
+alexinv.FIELD and diagonalizes it; the multivariate gcd specializes a pair
+at fixed points mod p for its coprimality certificate and diagonalizes the
+1 x 2 matrix they form, the kernel's Euclid for their gcd.
 """
 
 from __future__ import annotations

@@ -124,7 +124,7 @@ def _reduce(num: LaurentPolynomial, den: LaurentPolynomial) -> tuple:
     # clear negative exponents jointly, then strip the joint monomial factor
     mins_n = num.min_exponents()
     mins_d = den.min_exponents()
-    joint = tuple(min(a, b) for a, b in zip(mins_n, mins_d))
+    joint = tuple(map(min, mins_n, mins_d))
     num = num.shift(tuple(-x for x in joint))
     den = den.shift(tuple(-x for x in joint))
     g = _poly_gcd(num, den)

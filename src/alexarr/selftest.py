@@ -25,7 +25,7 @@ from .arrangements import (
     Line,
     classify_arrangement,
     combinatorial_bounds,
-    curve_at_infinity_bound,
+    curve_bound_from_counts,
     family_arrangement,
     family_presentation,
     intersect_arrangement,
@@ -320,8 +320,7 @@ def check_curve_bound_table() -> CheckResult:
             tangents = m - r
             if tangents < 0 or r - tangents < 0:
                 continue
-            flags = [True] * tangents + [False] * (r - tangents)
-            rep = curve_at_infinity_bound(m, r, flags)
+            rep = curve_bound_from_counts(m, r, tangents)
             transversal = r - tangents
             expect_hold = m == 2 or transversal >= 1
             if rep.hypotheses_hold != expect_hold:

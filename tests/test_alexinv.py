@@ -1,7 +1,7 @@
 """Elementary ideals, Alexander polynomials, and the two degree routes."""
 
 import random
-from math import gcd, prod
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,7 +11,6 @@ from alexarr.alexinv import (
     DELTA0_INFINITE,
     Delta0,
     InconsistentPresentationError,
-    SpecializationError,
     alexander_polynomial,
     characteristic_codim_flag,
     compute_invariants,
@@ -22,14 +21,17 @@ from alexarr.alexinv import (
 )
 from alexarr.arrangements import (
     Line,
+    classify_arrangement,
+    combinatorial_bounds,
     family_arrangement,
     family_presentation,
     intersect_arrangement,
+    vanishing_and_infinite_verdicts,
     wiring_presentation,
 )
 from alexarr.foxcalc import alexander_matrix
 from alexarr.groups import Word, parse_presentation, presentation
-from alexarr.ringkit import LaurentPolynomial, ModPoly, degree_spread, laurent_gcd, unit_normalize
+from alexarr.ringkit import LaurentPolynomial, degree_spread, laurent_gcd, unit_normalize
 from alexarr.selftest import (
     HOPF_DSL,
     TREFOIL_DSL,
@@ -259,6 +261,34 @@ def test_modular_pid_route_matches_degree_route_on_random_arrangements():
     assert len(seen) >= 3
 
 
+@st.composite
+def few_direction_arrangements(draw):
+    """3-7 distinct lines whose directions come from 2-4 drawn ones, so
+    parallel classes of several lines, and parallel-only inputs, are common."""
+    direction = st.tuples(st.integers(-3, 3), st.integers(-3, 3)).filter(any)
+    directions = draw(st.lists(direction, min_size=2, max_size=4, unique=True))
+    line = st.builds(lambda ab, c: Line.of(*ab, c), st.sampled_from(directions),
+                     st.integers(-5, 5))
+    return draw(st.lists(line, min_size=3, max_size=7, unique=True))
+
+
+@settings(max_examples=100, deadline=None)
+@given(few_direction_arrangements())
+def test_generated_arrangements_agree_with_bounds_and_closed_forms(lines):
+    data = intersect_arrangement(lines)
+    label = classify_arrangement(data)
+    report = compute_invariants(wiring_presentation(lines)[0])
+    assert report.route_agreement
+    m = data.m
+    if label.essential:
+        best = combinatorial_bounds(data, label).best
+        assert report.delta0.finite and report.delta0.value <= best <= m * (m - 2)
+    verdict = vanishing_and_infinite_verdicts(label, data)
+    if verdict is not None:
+        assert report.delta0 == (
+            DELTA0_INFINITE if verdict.value is None else Delta0.of(verdict.value))
+
+
 def test_degree_route_stops_after_few_minors(monkeypatch):
     # family generic m=7 has Δ = 1; the lexicographic column order consumed
     # 12,502 of its 54,264 deleted-row minors before the gcd became a unit
@@ -335,70 +365,21 @@ def test_modular_pid_route_draws_fresh_points(monkeypatch):
 
     monkeypatch.setattr(alexinv, "specialize", recording)
     delta0_via_pid(family_presentation("pencil", 3), distinguished=1)
-    # one point mod N = p1*p2*p3 per run; its residues are the draws
-    ((point, mod),) = set(drawn)
-    assert mod == prod(alexinv.PRIMES) == alexinv.MODULUS
-    draws = {tuple(u % p for u in point) for p in alexinv.PRIMES}
-    assert len(draws) == len(alexinv.PRIMES) == alexinv.DRAWS
-    for p in alexinv.PRIMES:
-        residues = [u % p for u in point]
-        assert residues[1] == 1 and all(0 < u < p for u in residues)
+    first = set(drawn)
+    drawn.clear()
+    delta0_via_pid(family_presentation("pencil", 3), distinguished=1)
+    # one point of F_P per run, a fresh one each run
+    ((point, mod),) = first
+    assert mod == alexinv.FIELD
+    assert point[1] == 1 and all(0 < u < alexinv.FIELD for u in point)
+    assert set(drawn) != first
 
 
-def test_disagreeing_draws_stop_the_modular_route(monkeypatch):
-    # t + p1 is t mod p1 but t + (p1 mod pj) mod the other primes, so the
-    # torsion degrees disagree; the constant p1 is zero only mod p1, so it
-    # drops the rank of the first draw alone
-    p1 = alexinv.PRIMES[0]
-    for coeffs in ([p1, 1], [p1]):
-        entry = ModPoly(coeffs, 0, alexinv.MODULUS)
-        monkeypatch.setattr(alexinv, "diagonalize_mod_p", lambda M: ([entry], M.rows - 1))
-        with pytest.raises(SpecializationError, match="localized route.*disagree"):
-            delta0_via_pid(family_presentation("pencil", 3))
+def test_field_is_a_prime_whose_bound_beats_three_61_bit_draws():
+    import sympy
 
-
-class ScriptedRng:
-    """Stands in for random.SystemRandom: the scripted values, then 2."""
-
-    def __init__(self, values):
-        self.values = list(values)
-        self.drawn = []
-
-    def randrange(self, lo, hi):
-        self.drawn.append(self.values.pop(0) if self.values else 2)
-        return self.drawn[-1]
-
-
-# Hopf link, b -> u t: the pivot 1 - u t leaves the remainder u^-1 - 1 of
-# t - 1, and at u = 1 + p1 that remainder is zero mod p1 alone, so the next
-# division must invert a nonzero non-unit mod N
-HOPF_BAD_POINT = 1 + alexinv.PRIMES[0]
-
-
-def test_non_unit_leading_coefficient_draws_a_fresh_point(monkeypatch):
-    rng = ScriptedRng([HOPF_BAD_POINT])
-    monkeypatch.setattr(alexinv.random, "SystemRandom", lambda: rng)
-    eliminations = []
-    original = alexinv.diagonalize_mod_p
-
-    def counted(M):
-        eliminations.append(M)
-        return original(M)
-
-    monkeypatch.setattr(alexinv, "diagonalize_mod_p", counted)
-    assert delta0_via_pid(parse_presentation(HOPF_DSL)) == Delta0.of(0)
-    assert rng.drawn == [HOPF_BAD_POINT, 2]
-    assert len(eliminations) == 2
-    with pytest.raises(ValueError):
-        original(eliminations[0])
-
-
-def test_non_unit_leading_coefficients_up_to_the_cap_stop_the_route(monkeypatch):
-    rng = ScriptedRng([HOPF_BAD_POINT] * alexinv.ATTEMPTS)
-    monkeypatch.setattr(alexinv.random, "SystemRandom", lambda: rng)
-    with pytest.raises(SpecializationError, match="leading coefficient that is zero modulo"):
-        delta0_via_pid(parse_presentation(HOPF_DSL))
-    assert rng.drawn == [HOPF_BAD_POINT] * alexinv.ATTEMPTS
+    assert sympy.isprime(alexinv.FIELD)
+    assert alexinv.FIELD - 1 > ((1 << 61) - 46) ** 3
 
 
 def test_route_equivalence_across_corpus():

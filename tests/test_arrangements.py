@@ -2,6 +2,7 @@
 
 import hashlib
 import random
+import re
 from collections import Counter
 from fractions import Fraction
 from math import gcd
@@ -22,6 +23,7 @@ from alexarr.arrangements import (
     classify_arrangement,
     combinatorial_bounds,
     curve_at_infinity_bound,
+    curve_bound_from_counts,
     family_arrangement,
     family_presentation,
     intersect_arrangement,
@@ -330,6 +332,20 @@ def test_curve_bound_hypotheses_fail():
     assert not rep.hypotheses_hold and rep.bound is None
 
 
+def test_curve_bound_from_counts_matches_flags():
+    for m in range(0, 7):
+        for r in range(-1, m + 2):
+            for tangents in range(0, r + 2):
+                flags = [True] * tangents + [False] * (r - tangents)
+                try:
+                    want = curve_at_infinity_bound(m, r, flags)
+                except ArrangementError as exc:
+                    with pytest.raises(ArrangementError, match=re.escape(str(exc))):
+                        curve_bound_from_counts(m, r, tangents)
+                else:
+                    assert curve_bound_from_counts(m, r, tangents) == want
+
+
 def test_curve_bound_flag_consistency():
     with pytest.raises(ArrangementError):
         curve_at_infinity_bound(4, 3, [False, False, False])
@@ -445,6 +461,11 @@ def test_wiring_handles_vertical_lines_via_shear():
 
 # ----------------------------------------------------------------------
 # shear search
+
+
+def shear_line(ln, s):
+    """Image of a line under (x, y) -> (x + s*y, y)."""
+    return Line.of(ln.a, ln.b - s * ln.a, ln.c)
 
 
 def forbidden_set_shear(lines):
@@ -563,7 +584,7 @@ def test_shear_search_matches_forbidden_set_oracle(lines):
     assert len(set(xs)) == len(xs)
     # shearing the points gives the meeting points of the sheared lines
     sheared_points = {(x + s * y, y, w): idx for (x, y, w), idx in by_point.items()}
-    assert sheared_points == _lines_through_points([ln.shear(s) for ln in lines])
+    assert sheared_points == _lines_through_points([shear_line(ln, s) for ln in lines])
 
 
 A3 = [(1, 0, 0), (0, 1, 0), (1, 0, 1), (0, 1, 1), (1, -1, 0)]
@@ -637,8 +658,8 @@ def test_presentation_output_pinned(tmp_path, abc, shear, digest):
 def sweep_generic(lines, s):
     """Check s from the sheared lines themselves: none vertical, and their
     meeting points have pairwise distinct abscissas."""
-    sheared = [ln.shear(s) for ln in lines]
-    if any(ln.is_vertical() for ln in sheared):
+    sheared = [shear_line(ln, s) for ln in lines]
+    if any(ln.b == 0 for ln in sheared):  # a vertical line
         return False
     xs = [x for x, _ in oracle_points(sheared)]
     return len(set(xs)) == len(xs)

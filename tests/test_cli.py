@@ -211,6 +211,29 @@ def test_bounds_curve_inconsistent_flags_exit_3(tmp_path, capsys):
     assert main(["bounds", str(f)]) == 3
 
 
+def test_bounds_curve_mode_huge_counts(tmp_path, capsys):
+    # the bound comes from the counts; no per-point list of 10^13 flags
+    m = 10_000_000_000_000
+    f = tmp_path / "curve.txt"
+    f.write_text(f"curve: m={m} r={m} tangents=0\n")
+    code, doc = run_json(capsys, "bounds", str(f))
+    assert code == 0
+    assert doc["bound"] == m * (m - 2)
+    assert doc["intermediate"] is None
+
+
+@pytest.mark.parametrize("line, message", [
+    ("curve: m=4 r=0 tangents=0\n", "need 1 <= r <= m"),
+    ("curve: m=4 r=5 tangents=0\n", "need 1 <= r <= m"),
+    ("curve: m=4 r=2 tangents=3\n", "one tangency flag per point at infinity"),
+])
+def test_bounds_curve_rejections_exit_3(tmp_path, capsys, line, message):
+    f = tmp_path / "curve.txt"
+    f.write_text(line)
+    assert main(["bounds", str(f)]) == 3
+    assert message in capsys.readouterr().err
+
+
 def test_presentation_family_roundtrip(capsys, tmp_path):
     code, out = run(capsys, "presentation", "--family", "near-pencil", "--m", "3")
     assert code == 0
@@ -409,21 +432,6 @@ def test_analyze_pid_route_on_a3_plus_two_nodal_lines(tmp_path, capsys):
     assert doc["invariants"]["delta0"] == 0
     assert doc["invariants"]["routes"] == {"degree": None, "pid": 0}
     assert doc["invariants"]["alexander_polynomial"] == "1"
-
-
-def test_disagreeing_draws_exit_4(tmp_path, monkeypatch, capsys):
-    # a bad draw has probability below 2^-40 here, so fake the diagonal form
-    # mod p1*p2*p3: the constant p3 is zero only mod p3, so the third draw
-    # reads one free summand more than the other two
-    import alexarr.alexinv as alexinv
-    from alexarr.ringkit import ModPoly
-
-    entry = ModPoly([alexinv.PRIMES[2]], 0, alexinv.MODULUS)
-    monkeypatch.setattr(alexinv, "diagonalize_mod_p", lambda M: ([entry], M.rows - 1))
-    f = tmp_path / "hopf.pres"
-    f.write_text("gens: a b\nrel: a b a^-1 b^-1\n")
-    assert main(["invariants", str(f)]) == 4
-    assert "localized route" in capsys.readouterr().err
 
 
 def test_selftest_corrupted_corpus_entry_fails_by_name():

@@ -1,7 +1,6 @@
 """Laurent polynomials over F_p and the localized route at random points."""
 
 import random
-from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -19,7 +18,6 @@ from alexarr.ringkit import (
     laurent_gcd,
     specialize,
 )
-from alexarr import alexinv
 from test_ratfunc import _laurent_tu
 
 
@@ -121,33 +119,6 @@ def test_chain_free_rank_and_degree_match_the_chain_on_random_matrices():
               for _ in range(cols)] for _ in range(rows)]
         _, _, (mod, pid) = rank_and_degree(M)
         assert mod == pid
-
-
-def test_one_elimination_mod_a_prime_product_reads_each_primes_draw():
-    # the route's batching: a diagonal form over (Z/N)[t^±1], N = p1*p2*p3,
-    # reduced mod p_j gives the free rank and torsion degree of the matrix
-    # specialized mod p_j at the residue of the same point
-    rng = random.Random(19)
-    t1, t2 = LaurentPolynomial.variable(0, 2), LaurentPolynomial.variable(1, 2)
-    one = LaurentPolynomial.one(2)
-    for _ in range(60):
-        rows, cols = rng.randint(1, 4), rng.randint(1, 4)
-        M = [[LaurentPolynomial(2, {(rng.randint(-1, 2), rng.randint(-1, 1)): rng.randint(-3, 3)
-                                    for _ in range(rng.randint(0, 3))})
-              * rng.choice([one, t1 - 2 * t2, t1 * t2 + 3 * one, (t1 - t2) * (t1 + one)])
-              for _ in range(cols)] for _ in range(rows)]
-        u = 0
-        while gcd(u, alexinv.MODULUS) != 1:
-            u = rng.randrange(1, alexinv.MODULUS)
-        diagonal, _ = diagonalize_mod_p(Matrix(
-            [[specialize(p, [1, 1], [1, u], alexinv.MODULUS) for p in row] for row in M]))
-        for prime in alexinv.PRIMES:
-            reduced = [f for f in (ModPoly([c % prime for c in d.coeffs], d.low, prime)
-                                   for d in diagonal) if f]
-            factors, free = diagonalize_mod_p(Matrix(
-                [[specialize(p, [1, 1], [1, u % prime], prime) for p in row] for row in M]))
-            assert (rows - len(reduced), sum(f.spread() for f in reduced)) == (
-                free, sum(f.spread() for f in factors))
 
 
 @settings(max_examples=60, deadline=None)
