@@ -78,8 +78,7 @@ from .ringkit import (
     specialize,
     unit_normalize,
 )
-
-FIELD = (1 << 192) - (1 << 64) - 1  # prime (NIST P-192)
+from .ringkit.modp import FIELD
 
 
 class InconsistentPresentationError(ValueError):
@@ -236,7 +235,7 @@ def delta0_via_pid(source, distinguished: int = 0) -> Delta0:
     points = [1 if i == distinguished else rng.randrange(1, FIELD)
               for i in range(A.num_vars)]
     psi = [1] * A.num_vars
-    M = Matrix([[specialize(p, psi, points, FIELD) for p in row]
+    M = Matrix([[specialize(p, psi, points) for p in row]
                 for row in A.matrix.entries], A.rows, A.cols)
     return _localized_degree(*diagonalize_mod_p(M))
 

@@ -141,7 +141,7 @@ def _emit_invariants(doc: dict, report: InvariantReport, args) -> None:
 def _read(path: str) -> str:
     try:
         return Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise CliFailure(EXIT_PARSE, f"cannot read {path}: {exc}") from None
 
 
@@ -243,32 +243,36 @@ _CURVE_KEYS = ("m", "r", "tangents")
 
 
 def _parse_curve_line(text: str) -> dict | None:
-    """The fields of the first ``curve:`` line, or None when there is none.
-    Each key of ``_CURVE_KEYS`` must appear once, with a nonnegative
-    integer value in ASCII digits, and no other key may appear."""
-    for raw in text.splitlines():
-        stripped = raw.split("#", 1)[0].strip()
-        if not stripped.startswith("curve:"):
-            continue
-        fields = {}
-        for token in stripped[len("curve:"):].split():
-            key, eq, value = token.partition("=")
-            if not eq:
-                raise ArrangementError(f"malformed curve token {token!r}")
-            if key not in _CURVE_KEYS:
-                raise ArrangementError(f"unknown curve key in token {token!r}")
-            if key in fields:
-                raise ArrangementError(f"repeated curve key in token {token!r}")
-            if not re.fullmatch(r"[+-]?[0-9]+", value):
-                raise ArrangementError(f"malformed curve token {token!r}")
-            fields[key] = int(value)
-            if fields[key] < 0:
-                raise ArrangementError(f"negative curve value in token {token!r}")
-        for key in _CURVE_KEYS:
-            if key not in fields:
-                raise ArrangementError(f"curve line is missing {key}=")
-        return fields
-    return None
+    """The fields of the ``curve:`` row, or None when there is none.  A curve
+    file holds that row alone besides comments and blank lines.  Each key of
+    ``_CURVE_KEYS`` must appear once, with a nonnegative integer value in
+    ASCII digits, and no other key may appear."""
+    rows = [(lineno, stripped) for lineno, raw in enumerate(text.splitlines(), start=1)
+            if (stripped := raw.split("#", 1)[0].strip())]
+    if not any(row.startswith("curve:") for _, row in rows):
+        return None
+    if len(rows) > 1:  # name the first row that is not the first curve row
+        lineno, row = rows[1] if rows[0][1].startswith("curve:") else rows[0]
+        what = "repeated curve line" if row.startswith("curve:") else "unexpected row in a curve file"
+        raise ArrangementError(f"line {lineno}: {what}")
+    fields = {}
+    for token in rows[0][1].removeprefix("curve:").split():
+        key, eq, value = token.partition("=")
+        if not eq:
+            raise ArrangementError(f"malformed curve token {token!r}")
+        if key not in _CURVE_KEYS:
+            raise ArrangementError(f"unknown curve key in token {token!r}")
+        if key in fields:
+            raise ArrangementError(f"repeated curve key in token {token!r}")
+        if not re.fullmatch(r"[+-]?[0-9]+", value):
+            raise ArrangementError(f"malformed curve token {token!r}")
+        fields[key] = int(value)
+        if fields[key] < 0:
+            raise ArrangementError(f"negative curve value in token {token!r}")
+    for key in _CURVE_KEYS:
+        if key not in fields:
+            raise ArrangementError(f"curve line is missing {key}=")
+    return fields
 
 
 def cmd_bounds(args) -> int:

@@ -8,8 +8,8 @@ DSL (line oriented, whitespace separated tokens, ``#`` comments):
     rel: b c b^-1 c^-1
     meridians: a b c
 
-Exponents are written ``a^-1``, ``a^3``.  The ``meridians:`` line is
-optional; without it every generator is treated as a meridian.
+Exponents are written ``a^-1``, ``a^3``.  The optional ``meridians:`` line
+appears at most once; without it every generator is treated as a meridian.
 """
 
 from __future__ import annotations
@@ -195,7 +195,10 @@ def _parse_token(token: str, index_of: dict) -> list:
             return []
     idx = index_of[name]
     letter = idx + 1 if power > 0 else -(idx + 1)
-    return [letter] * abs(power)
+    try:
+        return [letter] * abs(power)
+    except (OverflowError, MemoryError):
+        raise PresentationError(f"exponent too large to expand in token {token!r}") from None
 
 
 def parse_presentation(text: str) -> Presentation:
@@ -232,6 +235,8 @@ def parse_presentation(text: str) -> Presentation:
         elif key == "meridians":
             if not gens:
                 raise PresentationError(f"line {lineno}: meridians before gens")
+            if meridian_names is not None:
+                raise PresentationError(f"line {lineno}: repeated meridians line")
             for name in tokens:
                 if name not in index_of:
                     raise PresentationError(f"line {lineno}: unknown meridian {name!r}")

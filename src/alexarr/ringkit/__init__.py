@@ -1,6 +1,6 @@
 """Commutative-algebra kernel: Laurent polynomials, integer normal forms,
 rational-function coefficients and diagonalization over the univariate PID
-they generate, and diagonalization over (Z/n)[t^{±1}] at specialized points."""
+they generate, and diagonalization over F_P[t^{±1}] at specialized points."""
 
 from .laurent import (
     LaurentPolynomial,
@@ -15,7 +15,6 @@ from .matrices import (
     smith_normal_form_int,
 )
 from .modp import (
-    PRIME,
     ModPoly,
     diagonalize_mod_p,
     specialize,
@@ -36,7 +35,6 @@ __all__ = [
     "Matrix",
     "iter_minors",
     "smith_normal_form_int",
-    "PRIME",
     "ModPoly",
     "diagonalize_mod_p",
     "specialize",

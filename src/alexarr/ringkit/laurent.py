@@ -20,7 +20,7 @@ from operator import add as _add
 from typing import Iterable, Mapping
 
 from .matrices import Matrix
-from .modp import PRIME, ModPoly, diagonalize_mod_p, specialize
+from .modp import FIELD, ModPoly, diagonalize_mod_p, specialize
 
 
 class LaurentPolynomial:
@@ -450,7 +450,7 @@ def _subresultant_prs(a: LaurentPolynomial, b: LaurentPolynomial, k: int) -> Lau
 
 
 def _specialized_coeffs(p: LaurentPolynomial, main: int, points: list) -> ModPoly | None:
-    """p as a polynomial in the main variable over F_p, the other variables
+    """p as a polynomial in the main variable over F_P, the other variables
     evaluated at points.  None when the top coefficient collapses (the
     certificate would be unsound)."""
     psi = [int(i == main) for i in range(p.num_vars)]
@@ -471,7 +471,7 @@ def _gcd_free_of(p: LaurentPolynomial, q: LaurentPolynomial, main: int) -> bool:
     the entry that `diagonalize_mod_p` finds, must be a unit.  A collapsed
     leading coefficient gives False, which only sends the caller to the
     subresultant pseudo-remainder sequence."""
-    points = [pow(5, 7 * i + 1, PRIME) % 1000003 + 2 for i in range(p.num_vars)]
+    points = [pow(5, 7 * i + 1, FIELD) % 1000003 + 2 for i in range(p.num_vars)]
     ca = _specialized_coeffs(p, main, points)
     cb = _specialized_coeffs(q, main, points)
     if ca is None or cb is None or min(ca.low, cb.low) > 0:

@@ -1,4 +1,4 @@
-"""Matrices: one matrix type for Z, Z[H], K[t^±1] and (Z/n)[t^±1] with one
+"""Matrices: one matrix type for Z, Z[H], K[t^±1] and F_P[t^±1] with one
 determinant, one Euclidean elimination kernel, the integer Smith normal form
 built on it, and the minor enumerator."""
 
@@ -10,10 +10,10 @@ from typing import Iterable, Sequence
 
 
 class Matrix:
-    """Dense matrix over a commutative ring: Z, Z[H], K[t^±1] or (Z/n)[t^±1].
+    """Dense matrix over a commutative ring: Z, Z[H], K[t^±1] or F_P[t^±1].
 
     Entries are ints, LaurentPolynomials, UniPolys (over K = Q(u)) or
-    ModPolys (over Z/n); they test as zero by truth value, as in
+    ModPolys (over F_P); they test as zero by truth value, as in
     `_eliminate`.
     """
 
@@ -180,7 +180,7 @@ def _eliminate(a: list, rows: int, cols: int, size, divide, *, chain: bool) -> i
                 continue
             # divisibility chain: the pivot must divide the whole trailing
             # submatrix; folding an offending row in plants a remainder.  A
-            # pivot of size 0 is a unit in K[t^±1] and F_p[t^±1] (over Z the
+            # pivot of size 0 is a unit in K[t^±1] and F_P[t^±1] (over Z the
             # size is abs, never 0), so nothing can offend it.
             if not chain or size(a[t][t]) == 0:
                 break

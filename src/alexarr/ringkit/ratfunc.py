@@ -7,7 +7,7 @@ multi-component and the single-component ("one t variable over Q") cases.
 
 Univariate polynomials over that field, with a lowest-exponent offset so
 Laurent units t^k are free, form the principal ideal domain in which module
-presentations get diagonalized.  The localized route runs over F_p
+presentations get diagonalized.  The localized route runs over F_P
 (modp.py); this exact arithmetic is its oracle.
 """
 

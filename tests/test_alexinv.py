@@ -289,6 +289,51 @@ def test_generated_arrangements_agree_with_bounds_and_closed_forms(lines):
             DELTA0_INFINITE if verdict.value is None else Delta0.of(verdict.value))
 
 
+def line_invariants(lines, labels):
+    """Δ of the swept presentation, with the meridian of lines[j] as
+    variable labels[j], and δ0 by the localized route."""
+    pres, sweep = wiring_presentation(lines)
+    A = alexander_matrix(pres)
+    m = len(lines)
+    # the meridians are a basis of H_1: each generator goes to a unit vector
+    assert sorted(A.ab.quotient_map) == sorted(
+        tuple(int(i == j) for j in range(m)) for i in range(m))
+    label_of_var = [0] * m
+    for g, image in enumerate(A.ab.quotient_map):
+        label_of_var[image.index(1)] = labels[sweep.wire_lines[g]]
+    terms = {}
+    for e, c in alexander_polynomial(A).terms.items():
+        f = [0] * m
+        for i, x in enumerate(e):
+            f[label_of_var[i]] = x
+        terms[tuple(f)] = c
+    return LaurentPolynomial(m, terms), delta0_via_pid(A)
+
+
+@settings(max_examples=60, deadline=None)
+@given(few_direction_arrangements(), st.data())
+def test_affine_maps_and_reordering_keep_delta_and_delta0(lines, data):
+    # an invertible affine map of C^2 is a homeomorphism of the complements
+    # sending meridians to meridians, so Δ in the lines' own variables and
+    # δ0 do not change; neither does the order the lines are listed in
+    coeff = st.integers(-3, 3)
+    p, q, r, s = data.draw(st.tuples(coeff, coeff, coeff, coeff).filter(
+        lambda M: M[0] * M[3] != M[1] * M[2]))
+    vx, vy = data.draw(st.tuples(coeff, coeff))
+    order = data.draw(st.permutations(range(len(lines))))
+    det = p * s - q * r
+
+    def image(ln):
+        # a x + b y = c under (x, y) -> M (x, y) + v, scaled by det M
+        a, b = ln.a * s - ln.b * r, ln.b * p - ln.a * q
+        return Line.of(a, b, ln.c * det + a * vx + b * vy)
+
+    delta, d0 = line_invariants(lines, range(len(lines)))
+    moved_delta, moved_d0 = line_invariants([image(lines[j]) for j in order], order)
+    assert moved_d0 == d0
+    assert equal_up_to_units(moved_delta, delta), (lines, (p, q, r, s), (vx, vy), order)
+
+
 def test_degree_route_stops_after_few_minors(monkeypatch):
     # family generic m=7 has Δ = 1; the lexicographic column order consumed
     # 12,502 of its 54,264 deleted-row minors before the gcd became a unit
@@ -359,9 +404,9 @@ def test_modular_pid_route_draws_fresh_points(monkeypatch):
     drawn = []
     original = alexinv.specialize
 
-    def recording(p, psi, points, mod):
-        drawn.append((tuple(points), mod))
-        return original(p, psi, points, mod)
+    def recording(p, psi, points):
+        drawn.append(tuple(points))
+        return original(p, psi, points)
 
     monkeypatch.setattr(alexinv, "specialize", recording)
     delta0_via_pid(family_presentation("pencil", 3), distinguished=1)
@@ -369,8 +414,7 @@ def test_modular_pid_route_draws_fresh_points(monkeypatch):
     drawn.clear()
     delta0_via_pid(family_presentation("pencil", 3), distinguished=1)
     # one point of F_P per run, a fresh one each run
-    ((point, mod),) = first
-    assert mod == alexinv.FIELD
+    (point,) = first
     assert point[1] == 1 and all(0 < u < alexinv.FIELD for u in point)
     assert set(drawn) != first
 

@@ -1,12 +1,16 @@
 """CLI behavior: reports, exit codes, determinism."""
 
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, seed, settings, strategies as st
 
 from alexarr import cli
 from alexarr.cli import main
@@ -401,12 +405,38 @@ TWO_PARALLEL_PAIRS = "line: 1 0 0\nline: 1 0 1\nline: 0 1 0\nline: 0 1 1\n"
     (["bounds"], "curve: m=4 r=3 tangents=0_1\n", "malformed curve token 'tangents=0_1'"),
     # Fraction alone would read an Arabic-Indic three as 3
     (["bounds"], "line: 1 2 3\nline: \u0663 1 \u0663\n", "line 2: bad rational token"),
+    # a curve file holds one curve row and nothing else
+    (["bounds"], "curve: m=4 r=3 tangents=1\ncurve: m=5 r=3 tangents=1\n",
+     "line 2: repeated curve line"),
+    (["bounds"], "# curve\ncurve: m=4 r=3 tangents=1\n\nbogus stuff here\n",
+     "line 4: unexpected row in a curve file"),
+    (["bounds"], "line: 1 0 0\ncurve: m=4 r=3 tangents=1\n",
+     "line 1: unexpected row in a curve file"),
+    (["invariants"], "gens: a b\nmeridians: a\nmeridians: b\n", "line 3: repeated meridians line"),
+    # a list of 10^20 letters overflows its length, one of 10^15 fails to allocate
+    (["invariants"], "gens: a b\nrel: a^99999999999999999999 b\n",
+     "exponent too large to expand in token 'a^99999999999999999999'"),
+    (["invariants"], "gens: a\nrel: a^1000000000000000\n",
+     "exponent too large to expand in token 'a^1000000000000000'"),
+    # bytes that are not UTF-8; {path} stands for the input file
+    (["analyze"], b"line: 1 0 0\n\xff\n", "cannot read {path}: 'utf-8' codec can't decode "
+     "byte 0xff in position 12: invalid start byte"),
+    (["bounds"], b"\xff", "cannot read {path}: 'utf-8' codec can't decode "
+     "byte 0xff in position 0: invalid start byte"),
+    (["invariants"], b"\xff", "cannot read {path}: 'utf-8' codec can't decode "
+     "byte 0xff in position 0: invalid start byte"),
+    (["presentation"], b"\xff", "cannot read {path}: 'utf-8' codec can't decode "
+     "byte 0xff in position 0: invalid start byte"),
 ])
 def test_usage_error_exit_2_with_message(tmp_path, capsys, argv, text, message):
     if text is not None:
         f = tmp_path / "input.txt"
-        f.write_text(text)
+        if isinstance(text, bytes):
+            f.write_bytes(text)
+        else:
+            f.write_text(text)
         argv = argv + [str(f)]
+        message = message.replace("{path}", str(f))
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -447,3 +477,61 @@ def test_selftest_corrupted_corpus_entry_fails_by_name():
     assert failed == 1
     assert any("corrupted-entry" in ln and "FAIL" in ln and "expected 7" in ln
                for ln in lines)
+
+
+_NUMBERS = ["-2", "-1", "0", "1", "2", "3", "3/2", "12345678901234567890"]
+_NAMES = ["a", "b", "c"]
+_POWERS = [f"{g}^{e}" for g in _NAMES for e in [*range(-3, 4), 10 ** 20]]
+_ALPHABET = ["^", *_NUMBERS, *_NAMES, *_POWERS,
+             *(f"{k}={n}" for k in cli._CURVE_KEYS for n in _NUMBERS)]
+# a row of each key holding only tokens of the kind that key reads
+_CLEAN_ROW = {
+    "line:": lambda rng: rng.choices(_NUMBERS, k=3),
+    "curve:": lambda rng: [f"{k}={rng.choice(_NUMBERS)}" for k in rng.sample(cli._CURVE_KEYS, 3)],
+    "gens:": lambda rng: rng.sample(_NAMES, rng.randint(1, 3)),
+    "rel:": lambda rng: rng.choices(_NAMES + _POWERS, k=rng.randint(0, 4)),
+    "meridians:": lambda rng: rng.sample(_NAMES, rng.randint(0, 3)),
+}
+# the keys of the rows each command reads; an invariants file starts with gens:
+_COMMAND_KEYS = {
+    "analyze": ["line:"],
+    "presentation": ["line:"],
+    "bounds": ["line:", "curve:"],
+    "invariants": ["rel:", "meridians:"],
+}
+
+
+def token_soup(rng, command):
+    """Up to five rows (after an invariants file's gens row).  Nine rows in
+    ten have a key the command reads, and four in five are clean; the rest
+    hold zero to four tokens of the whole alphabet."""
+    keys = ["gens:"] if command == "invariants" else []
+    for _ in range(rng.randint(0, 5)):
+        keys.append(rng.choice(_COMMAND_KEYS[command] if rng.random() < 0.9 else list(_CLEAN_ROW)))
+    rows = []
+    for key in keys:
+        if rng.random() < 0.8:
+            tokens = _CLEAN_ROW[key](rng)
+        else:
+            tokens = rng.choices(_ALPHABET, k=rng.randint(0, 4))
+        rows.append(" ".join([key, *tokens]) + "\n")
+    return "".join(rows)
+
+
+@seed(2022)
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(sorted(_COMMAND_KEYS)), st.randoms(use_true_random=True))
+def test_token_soup_exits_with_a_documented_code(command, rng):
+    # every input ends in a report or a one-line error, never a traceback;
+    # the one exit 4 an input can cause by itself is a group whose localized
+    # route cannot run (trivial torsion-free abelianization)
+    text = token_soup(rng, command)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "soup.txt"
+        path.write_text(text)
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main([command, str(path)])
+    assert code in (0, 2, 3) or (
+        code == 4 and err.getvalue().startswith("error: the localized route did not run")), (
+        text, code, err.getvalue())

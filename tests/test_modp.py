@@ -1,4 +1,4 @@
-"""Laurent polynomials over F_p and the localized route at random points."""
+"""Laurent polynomials over F_P and the localized route at random points."""
 
 import random
 
@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from alexarr.ringkit import (
-    PRIME,
     LaurentPolynomial,
     Matrix,
     ModPoly,
@@ -18,11 +17,12 @@ from alexarr.ringkit import (
     laurent_gcd,
     specialize,
 )
+from alexarr.ringkit.modp import FIELD
 from test_ratfunc import _laurent_tu
 
 
 def random_modpoly(rng, max_len=5):
-    coeffs = [rng.choice([0, 1, 2, PRIME - 1, rng.randrange(PRIME)])
+    coeffs = [rng.choice([0, 1, 2, FIELD - 1, rng.randrange(FIELD)])
               for _ in range(rng.randint(0, max_len))]
     return ModPoly(coeffs, rng.randint(-3, 3))
 
@@ -54,7 +54,7 @@ def test_divmod_by_is_a_laurent_division_with_remainder():
 
 
 def test_ring_operations_agree_with_specialization():
-    # specialization is a ring homomorphism Z[t1^±1, t2^±1] -> F_p[t^±1]
+    # specialization is a ring homomorphism Z[t1^±1, t2^±1] -> F_P[t^±1]
     rng = random.Random(5)
     for _ in range(200):
         p, q = (
@@ -62,7 +62,7 @@ def test_ring_operations_agree_with_specialization():
                                   for _ in range(rng.randint(0, 4))})
             for _ in range(2)
         )
-        points = [1, rng.randrange(1, PRIME)]
+        points = [1, rng.randrange(1, FIELD)]
         sp, sq = specialize(p, [1, 1], points), specialize(q, [1, 1], points)
         assert specialize(p + q, [1, 1], points) == sp + sq
         assert specialize(p - q, [1, 1], points) == sp - sq
@@ -74,7 +74,7 @@ def test_specialize_maps_terms_to_total_degree_with_inverses():
     p = LaurentPolynomial(2, {(1, -2): 3, (0, 0): -1})
     image = specialize(p, [1, 1], [1, 2])
     assert image.low == -1
-    assert image.coeffs == [3 * pow(4, -1, PRIME) % PRIME, PRIME - 1]
+    assert image.coeffs == [3 * pow(4, -1, FIELD) % FIELD, FIELD - 1]
 
 
 def test_diagonalize_mod_p_reads_rank_and_degree():
@@ -124,15 +124,15 @@ def test_chain_free_rank_and_degree_match_the_chain_on_random_matrices():
 @settings(max_examples=60, deadline=None)
 @given(st.data())
 def test_modular_localization_matches_minor_gcd(data):
-    # matrices over Z[t1, t2] sent to F_p[t^±1] by t1 -> t, t2 -> u t at a
+    # matrices over Z[t1, t2] sent to F_P[t^±1] by t1 -> t, t2 -> u t at a
     # random u: the free rank and torsion degree are those of the minors'
     # gcd over Z[t1, t2] unless u hits the bad set: r <= 4, u-degree d <= 2
     # and t-spread w <= 4 give at most D = r d (3 + 2 r w) = 280 bad points
-    # of the p - 1
+    # of the P - 1
     rows = data.draw(st.integers(1, 4))
     cols = data.draw(st.integers(1, 4))
     lint = [[data.draw(_laurent_tu) for _ in range(cols)] for _ in range(rows)]
-    u = random.Random(data.draw(st.integers(0, 10 ** 9))).randrange(1, PRIME)
+    u = random.Random(data.draw(st.integers(0, 10 ** 9))).randrange(1, FIELD)
     image = Matrix([[specialize(p, [1, 1], [1, u]) for p in row] for row in lint], rows, cols)
     factors, free = diagonalize_mod_p(image)
     rank = rows - free
