@@ -103,10 +103,14 @@ def _eliminate(a: list, rows: int, cols: int, size, divide, *, chain: bool) -> i
 
     Euclidean elimination over any ring with a Euclidean function `size` and
     a division with remainder `divide(x, y) -> (q, r)`; entries test as zero
-    by truth value.  Row operations act on the full width of a and column
-    operations on its full height, so identity blocks bordering the leading
-    block record the transforms.  Afterwards the block is diagonal, rank
-    nonzero entries followed by zeros.
+    by truth value.  Each step divides once and keeps the remainder as the
+    new entry in the pivot column (or row).  Within the leading block the
+    rows and columns before t are already zero off the diagonal, so at step
+    t a row operation runs right of the pivot column, out to the full width
+    of a, and a column operation or swap below the pivot row, down to its
+    full height: identity blocks bordering the leading block on the right
+    and below still record the transforms.  Afterwards the block is
+    diagonal, rank nonzero entries followed by zeros.
 
     With chain=True the entries form a divisibility chain d_1 | d_2 | ...
     | d_rank up to units: after clearing each pivot's row and column, every
@@ -119,19 +123,6 @@ def _eliminate(a: list, rows: int, cols: int, size, divide, *, chain: bool) -> i
     and the entries' spreads, which any diagonal form gives.
     """
     width = len(a[0]) if a else 0
-
-    def row_op(i, j, q):
-        # row_i -= q * row_j
-        ai, aj = a[i], a[j]
-        for k in range(width):
-            if aj[k]:
-                ai[k] -= q * aj[k]
-
-    def col_op(i, j, q):
-        # col_i -= q * col_j
-        for row in a:
-            if row[j]:
-                row[i] -= q * row[j]
 
     def move_min_pivot(t) -> bool:
         best = None
@@ -149,7 +140,7 @@ def _eliminate(a: list, rows: int, cols: int, size, divide, *, chain: bool) -> i
         i, j = pivot
         a[t], a[i] = a[i], a[t]
         if j != t:
-            for row in a:
+            for row in a[t:]:
                 row[t], row[j] = row[j], row[t]
         return True
 
@@ -161,19 +152,31 @@ def _eliminate(a: list, rows: int, cols: int, size, divide, *, chain: bool) -> i
             # clear the pivot column; any nonzero remainder is strictly
             # smaller than the pivot, so re-picking the minimum makes
             # progress and the loop terminates
+            pivot_row = a[t]
+            pivot = pivot_row[t]
             clean = True
             for i in range(t + 1, rows):
-                if a[i][t]:
-                    row_op(i, t, divide(a[i][t], a[t][t])[0])
-                    if a[i][t]:
+                row = a[i]
+                if row[t]:
+                    # row_i -= q * row_t
+                    q, row[t] = divide(row[t], pivot)
+                    for k in range(t + 1, width):
+                        if pivot_row[k]:
+                            row[k] -= q * pivot_row[k]
+                    if row[t]:
                         clean = False
             if not clean:
                 move_min_pivot(t)
                 continue
+            below = a[t + 1 :]
             for j in range(t + 1, cols):
-                if a[t][j]:
-                    col_op(j, t, divide(a[t][j], a[t][t])[0])
-                    if a[t][j]:
+                if pivot_row[j]:
+                    # col_j -= q * col_t
+                    q, pivot_row[j] = divide(pivot_row[j], pivot)
+                    for row in below:
+                        if row[t]:
+                            row[j] -= q * row[t]
+                    if pivot_row[j]:
                         clean = False
             if not clean:
                 move_min_pivot(t)
@@ -182,17 +185,17 @@ def _eliminate(a: list, rows: int, cols: int, size, divide, *, chain: bool) -> i
             # submatrix; folding an offending row in plants a remainder.  A
             # pivot of size 0 is a unit in K[t^±1] and F_P[t^±1] (over Z the
             # size is abs, never 0), so nothing can offend it.
-            if not chain or size(a[t][t]) == 0:
+            if not chain or size(pivot) == 0:
                 break
             offender = next(
                 (i for i in range(t + 1, rows) for j in range(t + 1, cols)
-                 if a[i][j] and divide(a[i][j], a[t][t])[1]),
+                 if a[i][j] and divide(a[i][j], pivot)[1]),
                 None,
             )
             if offender is None:
                 break
-            pivot_row, off_row = a[t], a[offender]
-            for k in range(width):
+            off_row = a[offender]
+            for k in range(t + 1, width):
                 if off_row[k]:
                     pivot_row[k] += off_row[k]
         t += 1

@@ -27,9 +27,12 @@ class ModPoly:
     coeffs[i] is the coefficient of t^(low + i), an int in [0, FIELD); the
     first and last entries are nonzero unless the polynomial is zero (empty
     coeffs, low == 0).  The constructor trims zeros but does not reduce.
+    Instances never mutate (operations return new ones), so the inverse of
+    the leading coefficient, kept in `_inv` from the first division by the
+    instance, stays valid; it takes no part in equality or repr.
     """
 
-    __slots__ = ("low", "coeffs")
+    __slots__ = ("low", "coeffs", "_inv")
 
     def __init__(self, coeffs: list, low: int = 0):
         start, end = 0, len(coeffs)
@@ -43,6 +46,7 @@ class ModPoly:
             coeffs, low = coeffs[start:end], low + start
         self.low = low
         self.coeffs = coeffs
+        self._inv = 0
 
     def __bool__(self) -> bool:
         return bool(self.coeffs)
@@ -75,6 +79,9 @@ class ModPoly:
         a, b = self.coeffs, other.coeffs
         if not a or not b:
             return ModPoly([])
+        if len(a) == 1 or len(b) == 1:  # a scaled copy
+            x, b = (a[0], b) if len(a) == 1 else (b[0], a)
+            return ModPoly([x * y % FIELD for y in b], self.low + other.low)
         out = [0] * (len(a) + len(b) - 1)
         for i, x in enumerate(a):
             if x:
@@ -95,7 +102,9 @@ class ModPoly:
             raise ZeroDivisionError("division by zero polynomial")
         rem = list(self.coeffs)
         db = len(b) - 1
-        inv = pow(b[-1], -1, FIELD)
+        inv = other._inv
+        if not inv:
+            inv = other._inv = pow(b[-1], -1, FIELD)
         q = [0] * max(len(rem) - db, 0)
         while len(rem) > db:
             off = len(rem) - 1 - db

@@ -1,21 +1,25 @@
 """The one matrix type: its determinant over Z, Z[H] and K[t^±1], the
-integer Smith normal form, and Laurent minors."""
+elimination kernel, the integer Smith normal form, and Laurent minors."""
 
 import random
 from itertools import combinations, permutations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import alexarr.ringkit
 from alexarr.ringkit import (
     LaurentPolynomial,
     Matrix,
+    ModPoly,
     UniPoly,
     iter_minors,
     smith_normal_form_int,
+    specialize,
     unit_normalize,
 )
-from alexarr.ringkit.matrices import _spread_subsets
+from alexarr.ringkit.matrices import _eliminate, _spread_subsets
+from alexarr.ringkit.modp import FIELD
 
 
 def test_snf_classic_example():
@@ -66,6 +70,128 @@ def test_snf_random_reconstruction_and_chain():
             for x in diag:
                 prod *= x
             assert abs(m.determinant()) == prod
+
+
+# ----------------------------------------------------------------------
+# The elimination kernel against its full-width form
+
+
+def _eliminate_full_width(a: list, rows: int, cols: int, size, divide, *, chain: bool) -> int:
+    """The kernel as it was before it kept divide's remainder: each step
+    divides, then recomputes the remainder inside a row operation over the
+    full width of a or a column operation over its full height."""
+    width = len(a[0]) if a else 0
+
+    def row_op(i, j, q):
+        ai, aj = a[i], a[j]
+        for k in range(width):
+            if aj[k]:
+                ai[k] -= q * aj[k]
+
+    def col_op(i, j, q):
+        for row in a:
+            if row[j]:
+                row[i] -= q * row[j]
+
+    def move_min_pivot(t) -> bool:
+        best = None
+        pivot = None
+        for i in range(t, rows):
+            for j in range(t, cols):
+                x = a[i][j]
+                if x:
+                    s = size(x)
+                    if best is None or s < best:
+                        best = s
+                        pivot = (i, j)
+        if pivot is None:
+            return False
+        i, j = pivot
+        a[t], a[i] = a[i], a[t]
+        if j != t:
+            for row in a:
+                row[t], row[j] = row[j], row[t]
+        return True
+
+    t = 0
+    while t < min(rows, cols):
+        if not move_min_pivot(t):
+            break
+        while True:
+            clean = True
+            for i in range(t + 1, rows):
+                if a[i][t]:
+                    row_op(i, t, divide(a[i][t], a[t][t])[0])
+                    if a[i][t]:
+                        clean = False
+            if not clean:
+                move_min_pivot(t)
+                continue
+            for j in range(t + 1, cols):
+                if a[t][j]:
+                    col_op(j, t, divide(a[t][j], a[t][t])[0])
+                    if a[t][j]:
+                        clean = False
+            if not clean:
+                move_min_pivot(t)
+                continue
+            if not chain or size(a[t][t]) == 0:
+                break
+            offender = next(
+                (i for i in range(t + 1, rows) for j in range(t + 1, cols)
+                 if a[i][j] and divide(a[i][j], a[t][t])[1]),
+                None,
+            )
+            if offender is None:
+                break
+            pivot_row, off_row = a[t], a[offender]
+            for k in range(width):
+                if off_row[k]:
+                    pivot_row[k] += off_row[k]
+        t += 1
+    return t
+
+
+def _same_elimination(a: list, rows: int, cols: int, size, divide, chain: bool) -> None:
+    ref = [row[:] for row in a]
+    got = [row[:] for row in a]
+    rank = _eliminate(got, rows, cols, size, divide, chain=chain)
+    assert rank == _eliminate_full_width(ref, rows, cols, size, divide, chain=chain)
+    assert got == ref
+
+
+_small_int = st.one_of(st.just(0), st.integers(-12, 12), st.integers(-10 ** 6, 10 ** 6))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data(), st.booleans())
+def test_kernel_matches_full_width_over_z_with_snf_borders(data, chain):
+    # the layout of smith_normal_form_int: [[M, I_rows], [I_cols, 0]], so
+    # the identity borders right of and below M carry the transforms
+    rows = data.draw(st.integers(1, 5))
+    cols = data.draw(st.integers(1, 5))
+    m = [[data.draw(_small_int) for _ in range(cols)] for _ in range(rows)]
+    a = [row + [int(i == k) for k in range(rows)] for i, row in enumerate(m)]
+    a += [[int(j == k) for k in range(cols)] + [0] * rows for j in range(cols)]
+    _same_elimination(a, rows, cols, abs, divmod, chain)
+
+
+_laurent_2 = st.dictionaries(
+    st.tuples(st.integers(-1, 2), st.integers(-1, 2)), st.integers(-3, 3), max_size=4
+).map(lambda terms: LaurentPolynomial(2, terms))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data(), st.booleans())
+def test_kernel_matches_full_width_over_f_p(data, chain):
+    # Laurent matrices over Z[t1^±1, t2^±1] sent to F_P[t^±1] as the
+    # localized route sends them: t1 -> t, t2 -> u t at a random unit u
+    rows = data.draw(st.integers(1, 4))
+    cols = data.draw(st.integers(1, 4))
+    u = data.draw(st.integers(1, FIELD - 1))
+    a = [[specialize(data.draw(_laurent_2), [1, 1], [1, u]) for _ in range(cols)]
+         for _ in range(rows)]
+    _same_elimination(a, rows, cols, ModPoly.spread, ModPoly.divmod_by, chain)
 
 
 # ----------------------------------------------------------------------

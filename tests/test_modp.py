@@ -53,6 +53,41 @@ def test_divmod_by_is_a_laurent_division_with_remainder():
     assert checked > 300
 
 
+def _convolution(a: ModPoly, b: ModPoly) -> ModPoly:
+    out = [0] * max(len(a.coeffs) + len(b.coeffs) - 1, 0)
+    for i, x in enumerate(a.coeffs):
+        for j, y in enumerate(b.coeffs):
+            out[i + j] = (out[i + j] + x * y) % FIELD
+    return ModPoly(out, a.low + b.low)
+
+
+def test_one_term_products_are_the_convolution():
+    rng = random.Random(23)
+    for _ in range(300):
+        mono = ModPoly([rng.choice([1, 2, FIELD - 1, rng.randrange(1, FIELD)])],
+                       rng.randint(-4, 2))
+        p = random_modpoly(rng, 6)
+        assert mono * p == _convolution(mono, p)
+        assert p * mono == _convolution(p, mono)
+    assert not ModPoly([3], -2) * ModPoly([])
+
+
+def test_repeated_divisor_divides_as_a_fresh_copy():
+    # the divisor keeps its leading coefficient's inverse after the first
+    # division; later divisions by it, and the divisor itself, are unchanged
+    rng = random.Random(29)
+    for _ in range(200):
+        b = random_modpoly(rng)
+        if not b:
+            continue
+        fresh = ModPoly(list(b.coeffs), b.low)
+        for _ in range(3):
+            a = random_modpoly(rng, 8)
+            assert a.divmod_by(b) == a.divmod_by(ModPoly(list(b.coeffs), b.low))
+        assert b == fresh and fresh == b
+        assert repr(b) == repr(fresh)
+
+
 def test_ring_operations_agree_with_specialization():
     # specialization is a ring homomorphism Z[t1^±1, t2^±1] -> F_P[t^±1]
     rng = random.Random(5)
