@@ -76,7 +76,6 @@ from .ringkit import (
     iter_minors,
     laurent_gcd,
     specialize,
-    unit_normalize,
 )
 from .ringkit.modp import FIELD
 
@@ -310,7 +309,7 @@ def compute_invariants(p: Presentation, routes: str = "both") -> InvariantReport
         )
 
     return InvariantReport(
-        alexander_poly=unit_normalize(delta),
+        alexander_poly=delta,
         delta0=chosen,
         delta0_degree_route=d_degree,
         delta0_pid_route=d_pid,

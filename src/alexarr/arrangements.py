@@ -76,7 +76,7 @@ class IntersectionData:
 
     points: ((X, Y, W), (sorted incident line indices)) with multiplicity
         >= 2, the point (X/W, Y/W) as a reduced integer triple with W > 0,
-        sorted by x, then y.
+        in the order the pairwise scan of the lines first meets them.
     per_line_counts[i]: multiplicities d of the points lying on line i.
     parallel_classes: partition of line indices by direction.
     class_sizes[i]: size of the parallel class of line i.
@@ -173,10 +173,7 @@ def intersect_arrangement(lines: Sequence[Line]) -> IntersectionData:
     """Group all pairwise intersections into multiple points, exactly."""
     by_point = _lines_through_points(lines)
     m = len(lines)
-    points = tuple(
-        (pt, tuple(sorted(idx)))
-        for _, (pt, idx) in sorted(zip(_fixed_point_keys(by_point), by_point.items()))
-    )
+    points = tuple((pt, tuple(sorted(idx))) for pt, idx in by_point.items())
     per_line: list = [[] for _ in range(m)]
     for _, idx in points:
         d = len(idx)

@@ -139,8 +139,9 @@ def _emit_invariants(doc: dict, report: InvariantReport, args) -> None:
 
 
 def _read(path: str) -> str:
+    """The text of an input file, as UTF-8 after an optional byte-order mark."""
     try:
-        return Path(path).read_text(encoding="utf-8")
+        return Path(path).read_text(encoding="utf-8-sig")
     except (OSError, UnicodeDecodeError) as exc:
         raise CliFailure(EXIT_PARSE, f"cannot read {path}: {exc}") from None
 
@@ -157,14 +158,25 @@ def _guard(code: int, fn, *args):
         raise CliFailure(code, str(exc)) from None
 
 
+def _family_mode(args) -> bool:
+    """Whether the input is --family NAME --m N rather than an arrangement
+    file.  Exit 2 unless exactly one of the two is given, and --family and
+    --m come together."""
+    if args.family and args.path:
+        raise CliFailure(EXIT_PARSE, "give an arrangement file or --family/--m, not both")
+    if args.family and args.m is None:
+        raise CliFailure(EXIT_PARSE, "--family requires --m")
+    if not args.family and args.m is not None:
+        raise CliFailure(EXIT_PARSE, "--m requires --family")
+    if not args.family and not args.path:
+        raise CliFailure(EXIT_PARSE, "need an arrangement file or --family/--m")
+    return bool(args.family)
+
+
 def _load_lines(args) -> list:
     """The lines of the arrangement file, or of --family NAME --m N."""
-    if args.family:
-        if args.m is None:
-            raise CliFailure(EXIT_PARSE, "--family requires --m")
+    if _family_mode(args):
         return _guard(EXIT_PARSE, family_arrangement, args.family, args.m)
-    if not args.path:
-        raise CliFailure(EXIT_PARSE, "need an arrangement file or --family/--m")
     return _guard(EXIT_PARSE, parse_arrangement, _read(args.path))
 
 
@@ -305,12 +317,11 @@ def cmd_bounds(args) -> int:
 
 
 def cmd_presentation(args) -> int:
-    lines = _load_lines(args)  # under --family, this checks the family and --m
-    if args.family:
-        pres = family_presentation(args.family, args.m)
+    if _family_mode(args):
+        pres = _guard(EXIT_PARSE, family_presentation, args.family, args.m)
         header = f"# family: {args.family} m={args.m}\n"
     else:
-        pres, sweep = _guard(EXIT_GEOMETRY, wiring_presentation, lines)
+        pres, sweep = _guard(EXIT_GEOMETRY, wiring_presentation, _load_lines(args))
         header = (
             f"# swept arrangement: {args.path}\n"
             f"# shear: {sweep.shear}\n"
@@ -325,7 +336,9 @@ def cmd_presentation(args) -> int:
 def cmd_selftest(args) -> int:
     from . import selftest  # imported here, so other commands skip compiling it
 
-    _, failed = selftest.run_selftest(name_filter=args.filter)
+    passed, failed = selftest.run_selftest(name_filter=args.filter)
+    if not passed + failed:
+        raise CliFailure(EXIT_PARSE, f"no selftest check matches {args.filter!r}")
     return EXIT_SELFTEST if failed else EXIT_OK
 
 

@@ -356,7 +356,8 @@ def exact_divide(p: LaurentPolynomial, d: LaurentPolynomial) -> LaurentPolynomia
                 rem[key] = s
             elif key in rem:
                 del rem[key]
-    quotient = LaurentPolynomial(p.num_vars, q)
+    # the keys are distinct (the lead falls) and the coefficients nonzero
+    quotient = LaurentPolynomial._trusted(p.num_vars, q)
     back = tuple(a - b for a, b in zip(sp, sd))
     return quotient.shift(back)
 
@@ -510,15 +511,9 @@ def _poly_gcd(p: LaurentPolynomial, q: LaurentPolynomial) -> LaurentPolynomial:
             p.shift(tuple(-x for x in common)), q.shift(tuple(-x for x in common))
         ).shift(common)
 
-    main = -1
-    for k in reversed(range(p.num_vars)):
-        if p.max_degree_in(k) > 0 or q.max_degree_in(k) > 0:
-            main = k
-            break
-    if main < 0:
-        return LaurentPolynomial.constant(
-            _int_gcd(p.constant_value(), q.constant_value()), p.num_vars
-        )
+    # two or more terms each, no common monomial: some degree is positive
+    main = next(k for k in reversed(range(p.num_vars))
+                if p.max_degree_in(k) > 0 or q.max_degree_in(k) > 0)
     if p.max_degree_in(main) == 0:
         return _poly_gcd(p, _content(q, main))
     if q.max_degree_in(main) == 0:

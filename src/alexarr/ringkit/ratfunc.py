@@ -81,10 +81,10 @@ class RationalFunction:
 
     def __mul__(self, other):
         other = self._checked(other)
-        # cross-cancel before multiplying to keep parts small
+        # cross-cancel first: the parts stay small and a*c / (b*d) is canonical
         a, d = _reduce(self.num, other.den)
         c, b = _reduce(other.num, self.den)
-        return RationalFunction(a * c, b * d)
+        return RationalFunction(a * c, b * d, _canonical=True)
 
     def __truediv__(self, other):
         other = self._checked(other)

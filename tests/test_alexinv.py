@@ -279,6 +279,7 @@ def test_generated_arrangements_agree_with_bounds_and_closed_forms(lines):
     label = classify_arrangement(data)
     report = compute_invariants(wiring_presentation(lines)[0])
     assert report.route_agreement
+    assert unit_normalize(report.alexander_poly) == report.alexander_poly
     m = data.m
     if label.essential:
         best = combinatorial_bounds(data, label).best

@@ -391,6 +391,15 @@ TWO_PARALLEL_PAIRS = "line: 1 0 0\nline: 1 0 1\nline: 0 1 0\nline: 0 1 1\n"
     (["bounds"], "curve: m=4 r=3\n", "curve line is missing tangents="),
     (["analyze", "--family", "pencil"], None, "--family requires --m"),
     (["analyze"], None, "need an arrangement file or --family/--m"),
+    # one input per command: a file or a family, and --m only with --family
+    (["analyze", "/nonexistent/file.txt", "--family", "pencil", "--m", "3"], None,
+     "give an arrangement file or --family/--m, not both"),
+    (["presentation", "--family", "pencil", "--m", "3"], PENCIL3,
+     "give an arrangement file or --family/--m, not both"),
+    (["analyze", "--m", "7"], PENCIL3, "--m requires --family"),
+    (["presentation", "--m", "9"], PENCIL3, "--m requires --family"),
+    (["presentation", "--family", "pencil", "--m", "2"], None, "pencil family needs m >= 3"),
+    (["selftest", "--filter", "nomatch"], None, "no selftest check matches 'nomatch'"),
     (["analyze", "--presentation", "family"], TWO_PARALLEL_PAIRS,
      "classification Other has no closed-form family presentation"),
     (["invariants"], "gens: a\ngens: b\n", "line 2: repeated gens line"),
@@ -441,6 +450,21 @@ def test_usage_error_exit_2_with_message(tmp_path, capsys, argv, text, message):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("argv, text", [
+    (["analyze"], PENCIL3),
+    (["invariants"], "gens: a b\nrel: a b a^-1 b^-1\n"),
+    (["bounds"], "curve: m=4 r=3 tangents=1\n"),
+])
+def test_byte_order_mark_is_read_as_utf8(tmp_path, capsys, argv, text):
+    f = tmp_path / "input.txt"
+    runs = []
+    for bom in (b"", b"\xef\xbb\xbf"):
+        f.write_bytes(bom + text.encode())
+        runs.append((main(argv + [str(f)]), capsys.readouterr()))
+    assert runs[0][0] == 0 and runs[0][1].err == ""
+    assert runs[1] == runs[0]
 
 
 def test_analyze_deconed_a3_with_default_routes(tmp_path, capsys):

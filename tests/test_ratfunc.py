@@ -65,6 +65,11 @@ def test_field_axioms_on_random_samples(data):
     if not a.is_zero():
         assert (a * a.inverse()).is_one()
         assert (b / a) * a == b
+    # a product comes out canonical without a final reduction; random_ratfunc
+    # draws zero numerators too, and negation flips the leading signs
+    zero = RationalFunction.zero(n)
+    for x, y in ((a, b), (-a, b), (a, -c), (-b, -c), (a, zero), (zero, c)):
+        assert x * y == RationalFunction(x.num * y.num, x.den * y.den)
 
 
 def test_zero_variable_case_is_rational_arithmetic():

@@ -1,0 +1,110 @@
+"""Check that two alexarr trees give the same reports on the benchmark's jobs.
+
+    python tools/same_reports.py PARENT_TREE CHANGE_TREE [--seeds 2024 1311]
+
+For each tree and seed, one subprocess builds passes 0-2 of every workload
+with ``perfbench/workloads.make_pass`` from this checkout and runs each job
+in-process through ``alexarr.cli.main``, imported from the tree's ``src/``.
+It records the exit code, the ``--out`` file, stdout and stderr of each
+job, with its work directory replaced by ``<work>``, since the two trees
+run in different directories.  The script prints each job whose record
+differs between the trees, and exits 1 if any does, else 0.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import io
+import json
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+HERE = Path(__file__).resolve().parent
+PERFBENCH = HERE.parent / "perfbench"
+PASSES = range(3)
+
+
+def _run_job(cli, job, work: str) -> dict:
+    """Exit code, report, stdout and stderr of one in-process job."""
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        try:
+            code = cli.main(job.argv())
+        except SystemExit as exc:  # argparse rejects its arguments this way
+            code = exc.code
+        except Exception as exc:  # a job that raises is a record, not a crash
+            code = f"raised {type(exc).__name__}: {exc}"
+    record = {
+        "code": code,
+        "out": job.out.read_text(encoding="utf-8") if job.out.exists() else None,
+        "stdout": stdout.getvalue(),
+        "stderr": stderr.getvalue(),
+    }
+    return {key: value.replace(work, "<work>") if isinstance(value, str) else value
+            for key, value in record.items()}
+
+
+def records(tree: str, seed: int) -> None:
+    """Print, as JSON, the record of every job of the passes at this seed;
+    runs in the subprocess, with the tree's src/ and perfbench/ on sys.path."""
+    import workloads
+    from alexarr import cli
+
+    src = Path(tree).resolve() / "src"
+    if not Path(cli.__file__).resolve().is_relative_to(src):
+        raise RuntimeError(f"alexarr was imported from {cli.__file__}, not from {src}")
+    out = {}
+    with tempfile.TemporaryDirectory() as work:
+        for workload in workloads.WORKLOADS:
+            for index in PASSES:
+                pass_dir = Path(work) / workload / f"pass-{index}"
+                for n, job in enumerate(workloads.make_pass(workload, seed, index, pass_dir)):
+                    key = f"{workload} pass {index} job {n} ({job.kind})"
+                    out[key] = _run_job(cli, job, work)
+    json.dump(out, sys.stdout)
+
+
+def _tree_records(tree: str, seed: int) -> dict:
+    path = os.pathsep.join([str(Path(tree).resolve() / "src"), str(HERE), str(PERFBENCH)])
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, same_reports; same_reports.records(sys.argv[1], int(sys.argv[2]))",
+         tree, str(seed)],
+        env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True,
+    )
+    if proc.returncode != 0:
+        raise SystemExit(f"running the jobs of {tree} at seed {seed} failed:\n{proc.stderr}")
+    return json.loads(proc.stdout)
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("parent", help="tree of the parent commit (holds src/alexarr)")
+    parser.add_argument("change", help="tree of the change")
+    parser.add_argument("--seeds", type=int, nargs="+", default=[2024, 1311])
+    args = parser.parse_args(argv)
+    total = differ = 0
+    for seed in args.seeds:
+        before, after = (_tree_records(tree, seed) for tree in (args.parent, args.change))
+        for key in list(before) + [key for key in after if key not in before]:
+            total += 1
+            old, new = before.get(key), after.get(key)
+            if old == new:
+                continue
+            differ += 1
+            if old is None or new is None:
+                what = "only in " + ("the change" if old is None else "the parent")
+            else:
+                what = ", ".join(f"{field} {old[field]!r} -> {new[field]!r}" if field == "code"
+                                 else field for field in old if old[field] != new[field])
+            print(f"seed {seed}: {key}: {what}")
+    print(f"{total - differ} of {total} jobs give the same code, report, stdout and stderr")
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
