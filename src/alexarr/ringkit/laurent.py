@@ -15,7 +15,8 @@ positive term.
 
 from __future__ import annotations
 
-from math import gcd as _int_gcd
+from heapq import heapify, heappop, heappush
+from math import gcd as _int_gcd, isqrt
 from operator import add as _add
 from typing import Iterable, Mapping
 
@@ -320,13 +321,21 @@ def _grlex_key(e: tuple):
     return (sum(e), e)
 
 
+def _heap_entry(e: tuple) -> tuple:
+    """Min-heap entry that pops e in decreasing graded-lex order."""
+    return (-sum(e), tuple(-x for x in e), e)
+
+
 def exact_divide(p: LaurentPolynomial, d: LaurentPolynomial) -> LaurentPolynomial | None:
     """Return q with q*d == p, or None when d does not divide p exactly.
 
     Single-divisor division in graded-lex order.  Over an integral domain
     the leading term of an exact quotient is forced at every step, so the
     algorithm never backtracks: any failure (monomial or coefficient
-    non-divisibility) proves d does not divide p.
+    non-divisibility) proves d does not divide p.  The remainder's keys sit
+    in a max-heap (Johnson 1974): a key that enters the remainder is below
+    the current lead, so each step pops the next lead, skipping keys that
+    have since cancelled, instead of scanning the whole remainder.
     """
     p._check_compatible(d)
     if d.is_zero():
@@ -340,21 +349,29 @@ def exact_divide(p: LaurentPolynomial, d: LaurentPolynomial) -> LaurentPolynomia
     lead_d = max(dhat.terms, key=_grlex_key)
     cd = dhat.terms[lead_d]
     rem = dict(phat.terms)
+    heap = [_heap_entry(key) for key in rem]
+    heapify(heap)
     q: dict = {}
     while rem:
-        lead_r = max(rem, key=_grlex_key)
-        cr = rem[lead_r]
+        lead_r = heappop(heap)[2]
+        cr = rem.get(lead_r)
+        if cr is None:
+            continue
         e = tuple(a - b for a, b in zip(lead_r, lead_d))
         if any(x < 0 for x in e) or cr % cd:
             return None
         c = cr // cd
         q[e] = c
         for ed, cdd in dhat.terms.items():
-            key = tuple(a + b for a, b in zip(e, ed))
-            s = rem.get(key, 0) - c * cdd
-            if s:
-                rem[key] = s
-            elif key in rem:
+            key = tuple(map(_add, e, ed))
+            step = c * cdd
+            old = rem.get(key)
+            if old is None:
+                rem[key] = -step
+                heappush(heap, _heap_entry(key))
+            elif old != step:
+                rem[key] = old - step
+            else:
                 del rem[key]
     # the keys are distinct (the lead falls) and the coefficients nonzero
     quotient = LaurentPolynomial._trusted(p.num_vars, q)
@@ -489,6 +506,66 @@ def _monomial_gcd_with(p: LaurentPolynomial, q: LaurentPolynomial) -> LaurentPol
     return LaurentPolynomial.monomial(coeff, common)
 
 
+def _dense_divides(d: list, p: list) -> bool:
+    """Whether d divides p in Z[x]; both dense, lowest degree first, with
+    nonzero top coefficients."""
+    r = p[:]
+    n = len(d) - 1
+    for i in range(len(r) - 1, n - 1, -1):
+        if r[i]:
+            c, m = divmod(r[i], d[-1])
+            if m:
+                return False
+            for j, dj in enumerate(d):
+                r[i - n + j] -= c * dj
+    return not any(r[:n])
+
+
+def _heuristic_gcd(p: LaurentPolynomial, q: LaurentPolynomial, k: int) -> LaurentPolynomial | None:
+    """gcd of p and q, polynomials in variable k alone, by GCDHEU (Char,
+    Geddes and Gonnet 1989), or None if six evaluation points all fail.
+
+    With f, g the primitive parts, the integer gcd of f(xi) and g(xi),
+    read in balanced base xi, gives a candidate polynomial; for
+    xi >= 2 min(|f|, |g|) + 2 (max-norms), its primitive part h is
+    gcd(f, g) as soon as it divides both f and g.  That trial division
+    in Z[x] makes the answer exact; a failed point only costs a retry.
+    """
+    nv = p.num_vars
+    f, g = ([0] * (x.max_degree_in(k) + 1) for x in (p, q))
+    for x, dense in ((p, f), (q, g)):
+        content = x.integer_content()
+        for e, c in x.terms.items():
+            dense[e[k]] = c // content
+    cont = _int_gcd(p.integer_content(), q.integer_content())
+    xi = 2 * min(max(map(abs, f)), max(map(abs, g))) + 2
+    for _ in range(6):
+        fx = gx = 0
+        for c in reversed(f):
+            fx = fx * xi + c
+        for c in reversed(g):
+            gx = gx * xi + c
+        if fx and gx:
+            v = _int_gcd(fx, gx)
+            h = []
+            while v:
+                c = v % xi
+                if 2 * c > xi:
+                    c -= xi
+                h.append(c)
+                v = (v - c) // xi
+            hc = _int_gcd(*h)
+            h = [c // hc for c in h]
+            if _dense_divides(h, f) and _dense_divides(h, g):
+                return LaurentPolynomial._trusted(
+                    nv, {_var_power(k, i, nv): cont * c for i, c in enumerate(h) if c}
+                )
+        # the paper's growth step, about 2.7 xi^(5/4): it outruns fixed
+        # divisors of the cofactors' values that a doubling keeps meeting
+        xi = xi * 73794 * isqrt(isqrt(xi)) // 27011
+    return None
+
+
 def _poly_gcd(p: LaurentPolynomial, q: LaurentPolynomial) -> LaurentPolynomial:
     """gcd of two polynomials with nonnegative exponents, up to sign."""
     if p.is_zero():
@@ -518,6 +595,11 @@ def _poly_gcd(p: LaurentPolynomial, q: LaurentPolynomial) -> LaurentPolynomial:
         return _poly_gcd(p, _content(q, main))
     if q.max_degree_in(main) == 0:
         return _poly_gcd(_content(p, main), q)
+
+    if all(e[main] == sum(e) for e in (*p.terms, *q.terms)):
+        g = _heuristic_gcd(p, q, main)
+        if g is not None:
+            return g
 
     if _gcd_free_of(p, q, main):
         return _poly_gcd(_content(p, main), _content(q, main))

@@ -391,15 +391,6 @@ TWO_PARALLEL_PAIRS = "line: 1 0 0\nline: 1 0 1\nline: 0 1 0\nline: 0 1 1\n"
     (["bounds"], "curve: m=4 r=3\n", "curve line is missing tangents="),
     (["analyze", "--family", "pencil"], None, "--family requires --m"),
     (["analyze"], None, "need an arrangement file or --family/--m"),
-    # one input per command: a file or a family, and --m only with --family
-    (["analyze", "/nonexistent/file.txt", "--family", "pencil", "--m", "3"], None,
-     "give an arrangement file or --family/--m, not both"),
-    (["presentation", "--family", "pencil", "--m", "3"], PENCIL3,
-     "give an arrangement file or --family/--m, not both"),
-    (["analyze", "--m", "7"], PENCIL3, "--m requires --family"),
-    (["presentation", "--m", "9"], PENCIL3, "--m requires --family"),
-    (["presentation", "--family", "pencil", "--m", "2"], None, "pencil family needs m >= 3"),
-    (["selftest", "--filter", "nomatch"], None, "no selftest check matches 'nomatch'"),
     (["analyze", "--presentation", "family"], TWO_PARALLEL_PAIRS,
      "classification Other has no closed-form family presentation"),
     (["invariants"], "gens: a\ngens: b\n", "line 2: repeated gens line"),
@@ -436,6 +427,15 @@ TWO_PARALLEL_PAIRS = "line: 1 0 0\nline: 1 0 1\nline: 0 1 0\nline: 0 1 1\n"
      "byte 0xff in position 0: invalid start byte"),
     (["presentation"], b"\xff", "cannot read {path}: 'utf-8' codec can't decode "
      "byte 0xff in position 0: invalid start byte"),
+    # one input per command: a file or a family, and --m only with --family
+    (["analyze", "/nonexistent/file.txt", "--family", "pencil", "--m", "3"], None,
+     "give an arrangement file or --family/--m, not both"),
+    (["presentation", "--family", "pencil", "--m", "3"], PENCIL3,
+     "give an arrangement file or --family/--m, not both"),
+    (["analyze", "--m", "7"], PENCIL3, "--m requires --family"),
+    (["presentation", "--m", "9"], PENCIL3, "--m requires --family"),
+    (["presentation", "--family", "pencil", "--m", "2"], None, "pencil family needs m >= 3"),
+    (["selftest", "--filter", "nomatch"], None, "no selftest check matches 'nomatch'"),
 ])
 def test_usage_error_exit_2_with_message(tmp_path, capsys, argv, text, message):
     if text is not None:

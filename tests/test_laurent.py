@@ -12,7 +12,14 @@ from alexarr.ringkit import (
     laurent_gcd,
     unit_normalize,
 )
-from alexarr.ringkit.laurent import _gcd_free_of, _poly_gcd, _poly_part, _specialized_coeffs
+from alexarr.ringkit import laurent
+from alexarr.ringkit.laurent import (
+    _gcd_free_of,
+    _heuristic_gcd,
+    _poly_gcd,
+    _poly_part,
+    _specialized_coeffs,
+)
 
 
 def lp(num_vars, terms):
@@ -182,6 +189,25 @@ def test_exact_divide_detects_nondivisor():
     assert exact_divide(t1 ** 2 - 1, t1 - 1) is not None
 
 
+def test_exact_divide_larger_products_and_a_stray_monomial():
+    # remainders whose keys cancel and come back as the heap advances; a
+    # divisor with two or more terms divides no monomial, so one stray term
+    # makes the product indivisible
+    rng = random.Random(8)
+    for _ in range(150):
+        n = rng.randint(1, 3)
+        d = random_poly(rng, n, max_terms=8)
+        q = random_poly(rng, n, max_terms=12)
+        if len(d.terms) < 2 or q.is_zero():
+            continue
+        p = d * q
+        assert exact_divide(p, d) == q
+        stray = LaurentPolynomial.monomial(
+            rng.choice([1, -1, 7]), [rng.randint(-3, 6) for _ in range(n)]
+        )
+        assert exact_divide(p + stray, d) is None
+
+
 # ----------------------------------------------------------------------
 # gcd
 
@@ -336,6 +362,59 @@ def test_gcd_against_sympy_cross_check(monkeypatch):
         done += 1
     assert max(gaps) > 1
     assert any(not c.is_constant() for c in contents)
+
+
+def _univariate(rng, degree, bits, num_vars=1, k=0):
+    return LaurentPolynomial(num_vars, {
+        laurent._var_power(k, i, num_vars): rng.randint(-(2 ** bits), 2 ** bits)
+        for i in range(degree + 1)
+    })
+
+
+def test_univariate_gcd_against_sympy(monkeypatch):
+    import sympy
+
+    # products with a shared factor, large coefficients, the variable alone
+    # in a wider ring; the heuristic must answer each pair without the PRS
+    rng = random.Random(12)
+    pairs = []
+    for _ in range(25):
+        num_vars = rng.randint(1, 3)
+        k = rng.randrange(num_vars)
+        g, a, b = (_univariate(rng, rng.randint(0, 30), rng.randint(1, 60), num_vars, k)
+                   for _ in range(3))
+        pairs.append([g * a * rng.randint(1, 6), g * b])
+    # cofactors x(x + 1) and x(x + 1) + 2 are even at every integer, and
+    # the shared factor's coefficients are larger than the inputs' smallest
+    x = LaurentPolynomial.variable(0, 1)
+    g = (x + 1) ** 12
+    pairs.append([g * x * (x + 1), g * (x * (x + 1) + 2)])
+    pairs.append([(x - 1) ** 40, (x - 1) ** 39 * (x + 1)])
+
+    prs = []
+    monkeypatch.setattr(laurent, "_subresultant_prs",
+                        lambda *args: prs.append(args) or None)
+    for polys in pairs:
+        if any(p.is_zero() for p in polys):
+            continue
+        assert laurent_gcd(polys) == _sympy_gcd(sympy, polys)
+        assert all(exact_divide(p, laurent_gcd(polys)) is not None for p in polys)
+    assert not prs
+
+
+def test_univariate_gcd_falls_back_to_the_prs(monkeypatch):
+    # with every evaluation point failing, the subresultant sequence answers
+    rng = random.Random(13)
+    prs, run_prs = [], laurent._subresultant_prs
+    monkeypatch.setattr(laurent, "_heuristic_gcd", lambda p, q, k: None)
+    monkeypatch.setattr(laurent, "_subresultant_prs",
+                        lambda *args: prs.append(args) or run_prs(*args))
+    for _ in range(10):
+        g, a, b = (_univariate(rng, rng.randint(1, 8), 20) for _ in range(3))
+        polys = [g * a, g * b]
+        expect = unit_normalize(_heuristic_gcd(_poly_part(polys[0]), _poly_part(polys[1]), 0))
+        assert laurent_gcd(polys) == expect
+    assert len(prs) >= 10
 
 
 def gcd_fold_oracle(ps):
