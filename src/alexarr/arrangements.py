@@ -93,12 +93,17 @@ def _rational(token: str):
     """The value of a rational token: an ``int`` for an ASCII integer with
     at most one sign, where ``int`` and ``Fraction`` agree, else a
     ``Fraction``.  A non-ASCII token raises ValueError: ``Fraction`` would
-    read other scripts' digits."""
+    read other scripts' digits.  So does a decimal exponent of magnitude
+    above 4,300, Python's default limit on an int string's digits:
+    ``Fraction`` would build 10 to that power."""
     if not token.isascii():
         raise ValueError(f"non-ASCII token {token!r}")
     digits = token[1:] if token[0] in "+-" else token
     if digits.isdigit():
         return int(token)
+    _, e, exp = token.lower().partition("e")
+    if e and abs(int(exp)) > 4300:
+        raise ValueError(f"exponent too large in token {token!r}")
     return Fraction(token)
 
 

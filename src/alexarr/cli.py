@@ -257,8 +257,8 @@ _CURVE_KEYS = ("m", "r", "tangents")
 def _parse_curve_line(text: str) -> dict | None:
     """The fields of the ``curve:`` row, or None when there is none.  A curve
     file holds that row alone besides comments and blank lines.  Each key of
-    ``_CURVE_KEYS`` must appear once, with a nonnegative integer value in
-    ASCII digits, and no other key may appear."""
+    ``_CURVE_KEYS`` must appear once, with a nonnegative integer value of
+    at most 4,300 ASCII digits, and no other key may appear."""
     rows = [(lineno, stripped) for lineno, raw in enumerate(text.splitlines(), start=1)
             if (stripped := raw.split("#", 1)[0].strip())]
     if not any(row.startswith("curve:") for _, row in rows):
@@ -276,7 +276,8 @@ def _parse_curve_line(text: str) -> dict | None:
             raise ArrangementError(f"unknown curve key in token {token!r}")
         if key in fields:
             raise ArrangementError(f"repeated curve key in token {token!r}")
-        if not re.fullmatch(r"[+-]?[0-9]+", value):
+        # int reads at most 4,300 digits (Python's default limit)
+        if not re.fullmatch(r"[+-]?[0-9]{1,4300}", value):
             raise ArrangementError(f"malformed curve token {token!r}")
         fields[key] = int(value)
         if fields[key] < 0:

@@ -34,6 +34,7 @@ class GroupRingElement:
 
     Built from (letters, coefficient) pairs by the one merge loop: the
     constructor reduces each word, adds equal words and drops zero sums.
+    Each instance sets its terms once and never rebinds them.
     """
 
     __slots__ = ("terms",)
@@ -47,10 +48,7 @@ class GroupRingElement:
                 clean[key] = c
             else:
                 clean.pop(key, None)
-        object.__setattr__(self, "terms", clean)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("GroupRingElement is immutable")
+        self.terms = clean
 
     @classmethod
     def zero(cls) -> "GroupRingElement":
@@ -85,9 +83,6 @@ class GroupRingElement:
 
     def __eq__(self, other):
         return isinstance(other, GroupRingElement) and self.terms == other.terms
-
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
 
     def __repr__(self):
         if not self.terms:

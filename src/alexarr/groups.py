@@ -64,21 +64,19 @@ def reduced_inverse(a: tuple) -> tuple:
 
 
 class Word:
-    """Freely reduced word in a free group."""
+    """Freely reduced word in a free group; it sets its letters once and
+    never rebinds them."""
 
     __slots__ = ("letters",)
 
     def __init__(self, letters: Iterable[int] = ()):
-        object.__setattr__(self, "letters", free_reduce(letters))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Word is immutable")
+        self.letters = free_reduce(letters)
 
     @classmethod
     def _reduced(cls, letters: tuple) -> "Word":
         """Wrap a letter tuple that is already freely reduced, unscanned."""
         w = object.__new__(cls)
-        object.__setattr__(w, "letters", letters)
+        w.letters = letters
         return w
 
     @classmethod
@@ -106,9 +104,6 @@ class Word:
 
     def __eq__(self, other):
         return isinstance(other, Word) and self.letters == other.letters
-
-    def __hash__(self):
-        return hash(self.letters)
 
     def max_generator(self) -> int:
         """Largest generator index referenced, or -1 for the identity."""
@@ -188,7 +183,8 @@ def _parse_token(token: str, index_of: dict) -> list:
         raise PresentationError(f"unknown generator name {name!r}")
     power = 1
     if caret:
-        if not re.fullmatch(r"[+-]?[0-9]+", exp):
+        # int reads at most 4,300 digits (Python's default limit)
+        if not re.fullmatch(r"[+-]?[0-9]{1,4300}", exp):
             raise PresentationError(f"malformed exponent in token {token!r}")
         power = int(exp)
         if power == 0:

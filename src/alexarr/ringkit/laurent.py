@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from heapq import heapify, heappop, heappush
 from math import gcd as _int_gcd, isqrt
-from operator import add as _add
+from operator import add as _add, lt as _lt, sub as _sub
 from typing import Iterable, Mapping
 
 from .matrices import Matrix
@@ -25,7 +25,11 @@ from .modp import FIELD, ModPoly, diagonalize_mod_p, specialize
 
 
 class LaurentPolynomial:
-    """Immutable sparse Laurent polynomial with integer coefficients."""
+    """Sparse Laurent polynomial with integer coefficients.
+
+    Each instance sets its fields once and never rebinds them; the term
+    dict is not changed in place after construction.
+    """
 
     __slots__ = ("num_vars", "terms")
 
@@ -41,11 +45,8 @@ class LaurentPolynomial:
                     )
                 if coeff:
                     clean[tuple(exps)] = coeff
-        object.__setattr__(self, "num_vars", num_vars)
-        object.__setattr__(self, "terms", clean)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("LaurentPolynomial is immutable")
+        self.num_vars = num_vars
+        self.terms = clean
 
     @classmethod
     def _trusted(cls, num_vars: int, terms: dict) -> "LaurentPolynomial":
@@ -53,8 +54,8 @@ class LaurentPolynomial:
         length-num_vars tuple, every coefficient nonzero.  The arithmetic
         below builds such dicts itself."""
         p = object.__new__(cls)
-        object.__setattr__(p, "num_vars", num_vars)
-        object.__setattr__(p, "terms", terms)
+        p.num_vars = num_vars
+        p.terms = terms
         return p
 
     # ------------------------------------------------------------------
@@ -193,9 +194,6 @@ class LaurentPolynomial:
         if not isinstance(other, LaurentPolynomial):
             return NotImplemented
         return self.num_vars == other.num_vars and self.terms == other.terms
-
-    def __hash__(self):
-        return hash((self.num_vars, frozenset(self.terms.items())))
 
     # ------------------------------------------------------------------
     # structure
@@ -342,13 +340,13 @@ def exact_divide(p: LaurentPolynomial, d: LaurentPolynomial) -> LaurentPolynomia
         raise ZeroDivisionError("division by the zero polynomial")
     if p.is_zero():
         return LaurentPolynomial.zero(p.num_vars)
-    sp = p.min_exponents()
-    sd = d.min_exponents()
-    phat = p.shift(tuple(-x for x in sp))
-    dhat = d.shift(tuple(-x for x in sd))
-    lead_d = max(dhat.terms, key=_grlex_key)
-    cd = dhat.terms[lead_d]
-    rem = dict(phat.terms)
+    # the steps of dividing the polynomial parts of p and d, without
+    # building them: graded-lex order does not change under a shift, and
+    # an exponent >= 0 in the parts' quotient is one >= lo here
+    lo = tuple(map(_sub, p.min_exponents(), d.min_exponents()))
+    lead_d = max(d.terms, key=_grlex_key)
+    cd = d.terms[lead_d]
+    rem = dict(p.terms)
     heap = [_heap_entry(key) for key in rem]
     heapify(heap)
     q: dict = {}
@@ -357,12 +355,12 @@ def exact_divide(p: LaurentPolynomial, d: LaurentPolynomial) -> LaurentPolynomia
         cr = rem.get(lead_r)
         if cr is None:
             continue
-        e = tuple(a - b for a, b in zip(lead_r, lead_d))
-        if any(x < 0 for x in e) or cr % cd:
+        e = tuple(map(_sub, lead_r, lead_d))
+        if any(map(_lt, e, lo)) or cr % cd:
             return None
         c = cr // cd
         q[e] = c
-        for ed, cdd in dhat.terms.items():
+        for ed, cdd in d.terms.items():
             key = tuple(map(_add, e, ed))
             step = c * cdd
             old = rem.get(key)
@@ -374,9 +372,7 @@ def exact_divide(p: LaurentPolynomial, d: LaurentPolynomial) -> LaurentPolynomia
             else:
                 del rem[key]
     # the keys are distinct (the lead falls) and the coefficients nonzero
-    quotient = LaurentPolynomial._trusted(p.num_vars, q)
-    back = tuple(a - b for a, b in zip(sp, sd))
-    return quotient.shift(back)
+    return LaurentPolynomial._trusted(p.num_vars, q)
 
 
 # ----------------------------------------------------------------------

@@ -25,26 +25,28 @@ class RationalFunction:
     Canonical form: num and den are ordinary polynomials (no negative
     exponents) with no common polynomial factor, not both divisible by any
     variable, and the lexicographically least monomial of den has a positive
-    coefficient.  Structural equality then decides field equality.
+    coefficient.  Structural equality then decides field equality.  Each
+    instance sets its fields once and never rebinds them.
     """
 
     __slots__ = ("num", "den")
 
-    def __init__(self, num: LaurentPolynomial, den: LaurentPolynomial | None = None,
-                 _canonical: bool = False):
+    def __init__(self, num: LaurentPolynomial, den: LaurentPolynomial | None = None):
         if den is None:
             den = LaurentPolynomial.one(num.num_vars)
         if den.is_zero():
             raise ZeroDivisionError("rational function with zero denominator")
         if num.num_vars != den.num_vars:
             raise ValueError("variable-count mismatch between num and den")
-        if not _canonical:
-            num, den = _reduce(num, den)
-        object.__setattr__(self, "num", num)
-        object.__setattr__(self, "den", den)
+        self.num, self.den = _reduce(num, den)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("RationalFunction is immutable")
+    @classmethod
+    def _trusted(cls, num: LaurentPolynomial, den: LaurentPolynomial) -> "RationalFunction":
+        """Wrap a num/den pair that is already canonical, unchecked."""
+        f = object.__new__(cls)
+        f.num = num
+        f.den = den
+        return f
 
     @property
     def num_vars(self) -> int:
@@ -74,7 +76,7 @@ class RationalFunction:
         return RationalFunction(num, self.den * other.den)
 
     def __neg__(self):
-        return RationalFunction(-self.num, self.den, _canonical=True)
+        return RationalFunction._trusted(-self.num, self.den)
 
     def __sub__(self, other):
         return self + (-self._checked(other))
@@ -84,13 +86,13 @@ class RationalFunction:
         # cross-cancel first: the parts stay small and a*c / (b*d) is canonical
         a, d = _reduce(self.num, other.den)
         c, b = _reduce(other.num, self.den)
-        return RationalFunction(a * c, b * d, _canonical=True)
+        return RationalFunction._trusted(a * c, b * d)
 
     def __truediv__(self, other):
         other = self._checked(other)
         if other.is_zero():
             raise ZeroDivisionError("division by zero rational function")
-        return self * RationalFunction(other.den, other.num, _canonical=False)
+        return self * RationalFunction(other.den, other.num)
 
     def inverse(self) -> "RationalFunction":
         if self.is_zero():
@@ -108,9 +110,6 @@ class RationalFunction:
         if not isinstance(other, RationalFunction):
             return NotImplemented
         return self.num == other.num and self.den == other.den
-
-    def __hash__(self):
-        return hash((self.num, self.den))
 
     def __repr__(self):
         return f"RationalFunction({self.num!r}, {self.den!r})"
@@ -144,6 +143,7 @@ class UniPoly:
 
     coeffs[i] is the coefficient of t^(low + i); the first and last entries
     are nonzero unless the polynomial is zero (empty coeffs, low == 0).
+    Each instance sets its fields once and never rebinds them.
     """
 
     __slots__ = ("num_vars", "low", "coeffs")
@@ -241,9 +241,6 @@ class UniPoly:
             and self.low == other.low
             and self.coeffs == other.coeffs
         )
-
-    def __hash__(self):
-        return hash((self.num_vars, self.low, tuple(self.coeffs)))
 
     def monic(self) -> "UniPoly":
         """Normalize to a monic ordinary polynomial (low exponent zero)."""

@@ -146,11 +146,12 @@ def test_degenerate_line_error_names_its_line(tmp_path, capsys):
 
 @pytest.mark.parametrize("token", [
     "+3", "-0", "007", "1_000", "+-3", "--3", "1e2", "1.5", "3/6",
-    "0x10", "\u00bd",
+    "0x10", "\u00bd", "1e4300", "-1E-4300",
 ])
 def test_integer_tokens_parse_like_fractions(token, monkeypatch):
     """ASCII integers with at most one sign take the ``int`` path; every
-    token gives the lines or the error of a parse through ``Fraction``."""
+    token, a decimal exponent of magnitude up to 4,300 included, gives the
+    lines or the error of a parse through ``Fraction``."""
     text = f"line: 1 2 3\nline: {token} 1 {token}\n"
 
     def outcome():

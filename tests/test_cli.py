@@ -436,6 +436,14 @@ TWO_PARALLEL_PAIRS = "line: 1 0 0\nline: 1 0 1\nline: 0 1 0\nline: 0 1 1\n"
     (["presentation", "--m", "9"], PENCIL3, "--m requires --family"),
     (["presentation", "--family", "pencil", "--m", "2"], None, "pencil family needs m >= 3"),
     (["selftest", "--filter", "nomatch"], None, "no selftest check matches 'nomatch'"),
+    # int reads at most 4,300 digits; the ids keep the long inputs out of the test names
+    pytest.param(["invariants"], f"gens: a\nrel: a^{'9' * 5000}\n",
+                 f"malformed exponent in token 'a^{'9' * 5000}'", id="dsl-exponent-5000-digits"),
+    pytest.param(["bounds"], f"curve: m={'9' * 5000} r=1 tangents=0\n",
+                 f"malformed curve token 'm={'9' * 5000}'", id="curve-value-5000-digits"),
+    # Fraction would build 10^999999999 before it returned
+    (["bounds"], "line: 1e999999999 1 0\n", "line 1: bad rational token"),
+    (["bounds"], "line: 0 1 0\nline: 1e-999999999 1 0\n", "line 2: bad rational token"),
 ])
 def test_usage_error_exit_2_with_message(tmp_path, capsys, argv, text, message):
     if text is not None:

@@ -208,6 +208,17 @@ def test_exact_divide_larger_products_and_a_stray_monomial():
         assert exact_divide(p + stray, d) is None
 
 
+def test_exact_divide_with_monomial_factors_of_different_sizes():
+    # the operands carry unequal monomial factors, so a quotient exponent
+    # is bounded below by min(p) - min(d), here (-7, 3), not by zero
+    t1, t2 = var(0), var(1)
+    d = LaurentPolynomial.monomial(1, (4, -1)) * (t2 + 1)
+    q = LaurentPolynomial.monomial(3, (-7, 5)) * (t1 - 2 * t2 + t1 * t2 ** 2)
+    assert exact_divide(q * d, d) == q
+    # the leads t1 and t2 would need the quotient term t1 * t2^-1
+    assert exact_divide(LaurentPolynomial.monomial(1, (-3, 2)) * (t1 + t2), d) is None
+
+
 # ----------------------------------------------------------------------
 # gcd
 
