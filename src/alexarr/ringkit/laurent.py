@@ -58,6 +58,40 @@ class LaurentPolynomial:
         p.terms = terms
         return p
 
+    # Packed exponent vectors (Monagan and Pearce 2007): (e_1, ..., e_m)
+    # packs into the one int e_1 + e_2 2^W + ... + e_m 2^((m-1)W), balanced
+    # radix 2^W with signed digits.  While every |e_i| < 2^(W-1) the packing
+    # is one-to-one and adding two keys adds the vectors without a carry, so
+    # a product of terms adds ints instead of building tuples.
+
+    @staticmethod
+    def _pack_width(bound: int) -> int:
+        """The width W that packs every vector whose entries, and whose
+        sums' entries, are at most bound in absolute value."""
+        return bound.bit_length() + 1
+
+    def _packed(self, width: int) -> dict:
+        """The term dict with each exponent vector packed at width."""
+        packed = {}
+        for e, c in self.terms.items():
+            key = 0
+            for x in reversed(e):
+                key = (key << width) + x
+            packed[key] = c
+        return packed
+
+    @classmethod
+    def _from_packed(cls, num_vars: int, width: int, packed: dict) -> "LaurentPolynomial":
+        """Unpack a term dict of nonzero coefficients packed at width:
+        adding 2^(W-1) to every digit leaves digits 0 .. 2^W - 1 to mask out."""
+        half = 1 << (width - 1)
+        mask = (1 << width) - 1
+        shifts = range(0, num_vars * width, width)
+        bias = sum(half << s for s in shifts)
+        return cls._trusted(num_vars, {
+            tuple([(((key + bias) >> s) & mask) - half for s in shifts]): c
+            for key, c in packed.items()})
+
     # ------------------------------------------------------------------
     # constructors
 

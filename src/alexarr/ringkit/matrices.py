@@ -61,7 +61,10 @@ class Matrix:
         Each k x k block on the last k columns is expanded once per row
         subset, so an n x n determinant costs O(n 2^n) ring operations and
         no division.  A 0 x 0 matrix has no entry to name its ring, so its
-        determinant raises ValueError.
+        determinant raises ValueError.  It works over any of the rings
+        above through their own operators, and is the generic reference
+        that the tests compare `iter_minors` with; the minors themselves
+        go through `iter_minors`' expansion over packed monomials.
         """
         n = self.rows
         if n != self.cols:
@@ -252,7 +255,8 @@ def _spread_subsets(n: int, k: int):
 
 
 def iter_minors(M: Matrix, k: int):
-    """A lazy iterator over all k x k minor determinants of M.
+    """A lazy iterator over all k x k minor determinants of M, a matrix of
+    LaurentPolynomials and ints.
 
     Deterministic order: row subsets lexicographic; for each, the column
     subsets in a fixed spread order (`_spread_subsets`), so that subsets
@@ -262,13 +266,73 @@ def iter_minors(M: Matrix, k: int):
     and so common factors, which keep the running gcd a nonunit for
     thousands of minors.  The gcd of the family does not depend on the
     order.  Values are plain subdeterminants, columns ascending (no
-    cofactor signs).  An out-of-range k raises ValueError at the call, not
-    on the first next.
+    cofactor signs): LaurentPolynomials, or ints when M has no polynomial
+    entry.  An out-of-range k raises ValueError at the call, not on the
+    first next.
+
+    Each minor is `Matrix.determinant`'s memoized cofactor expansion, run
+    on term dicts whose keys are packed exponent vectors
+    (`LaurentPolynomial._packed`; an int c is the one term {0: c}).  Every
+    exponent of a minor or of a block in its expansion is a sum of one
+    term exponent from each of its rows, so the width packing the sum over
+    M's rows of each row's largest |exponent| keeps every key exact.  A
+    block adds each product c1 * c2 (the cofactor sign folded into c1)
+    into one dict, drops its zero coefficients once, and each minor is
+    unpacked once.
     """
     if not 0 < k <= min(M.rows, M.cols):
         raise ValueError(f"minor size {k} out of range for {M.rows}x{M.cols} matrix")
-    return (
-        M.submatrix(ri, ci).determinant()
-        for ri in combinations(range(M.rows), k)
-        for ci in _spread_subsets(M.cols, k)
-    )
+    return _packed_minors(M, k)
+
+
+def _packed_minors(M: Matrix, k: int):
+    from .laurent import LaurentPolynomial  # laurent.py imports this module
+
+    num_vars = next((e.num_vars for row in M.entries for e in row
+                     if not isinstance(e, int)), None)
+    bound = sum(max((abs(x) for e in row if not isinstance(e, int)
+                     for key in e.terms for x in key), default=0)
+                for row in M.entries)
+    width = LaurentPolynomial._pack_width(bound)
+    packed = [[({0: e} if e else {}) if isinstance(e, int) else e._packed(width)
+               for e in row] for row in M.entries]
+    for ri in combinations(range(M.rows), k):
+        for ci in _spread_subsets(M.cols, k):
+            det = _packed_determinant(packed, ri, ci)
+            if num_vars is None:
+                yield det.get(0, 0)
+            else:
+                yield LaurentPolynomial._from_packed(num_vars, width, det)
+
+
+def _packed_determinant(packed: list, rows: tuple, cols: tuple) -> dict:
+    """The determinant of packed[rows][cols] as a packed term dict."""
+    cache: dict = {}
+
+    def rec(rows: tuple, depth: int) -> dict:
+        # determinant of the square block packed[rows] x cols[depth:]
+        if len(rows) == 1:
+            return packed[rows[0]][cols[depth]]
+        got = cache.get(rows)
+        if got is not None:
+            return got
+        j = cols[depth]
+        acc: dict = {}
+        get = acc.get
+        for pos, i in enumerate(rows):
+            entry = packed[i][j]
+            if not entry:
+                continue
+            rest = rec(rows[:pos] + rows[pos + 1 :], depth + 1)
+            odd = pos % 2
+            for k1, c1 in entry.items():
+                if odd:
+                    c1 = -c1
+                for k2, c2 in rest.items():
+                    key = k1 + k2
+                    acc[key] = get(key, 0) + c1 * c2
+        acc = {key: c for key, c in acc.items() if c}
+        cache[rows] = acc
+        return acc
+
+    return rec(rows, 0)

@@ -275,6 +275,81 @@ def test_minor_rows_lexicographic_columns_spread():
     assert list(iter_minors(m, 1)) == [m.entries[i][j] for i in range(rows) for j in cols_order]
 
 
+def _random_laurent_matrix(rng, rows, cols, num_vars, scale, density):
+    """rows x cols LaurentPolynomials of up to three terms, each exponent
+    within scale of 0 (negative ones too), each entry nonzero with
+    probability density."""
+    entries = []
+    for _ in range(rows):
+        row = []
+        for _ in range(cols):
+            terms = {}
+            if rng.random() < density:
+                for _ in range(rng.randint(1, 3)):
+                    e = tuple(rng.randint(-scale, scale) for _ in range(num_vars))
+                    terms[e] = rng.randint(-4, 4)
+            row.append(LaurentPolynomial(num_vars, terms))
+        entries.append(row)
+    return Matrix(entries, rows, cols)
+
+
+def _generic_minors(m, k):
+    """iter_minors' values and order, from the generic determinant."""
+    return [m.submatrix(ri, ci).determinant()
+            for ri in combinations(range(m.rows), k)
+            for ci in _spread_subsets(m.cols, k)]
+
+
+def _assert_minors_match_determinant(m):
+    for k in range(1, min(m.rows, m.cols) + 1):
+        got = list(iter_minors(m, k))
+        assert got == _generic_minors(m, k), k
+        assert all(type(g) is LaurentPolynomial and all(g.terms.values()) for g in got)
+
+
+@pytest.mark.parametrize("num_vars", [0, 1, 2, 3])
+@pytest.mark.parametrize("scale", [1, 3, 2 ** 40 + 5, 2 ** 70])
+def test_minors_match_the_generic_determinant(num_vars, scale):
+    # negative exponents throughout; at 2^40 and 2^70 the packing width W
+    # passes 40 and 64 bits, and a packed key spans three of them
+    rng = random.Random(num_vars * 1000 + scale % 997)
+    for _ in range(12):
+        rows, cols = rng.randint(1, 4), rng.randint(1, 5)
+        m = _random_laurent_matrix(rng, rows, cols, num_vars, scale, rng.choice([0.4, 0.8, 1]))
+        _assert_minors_match_determinant(m)
+
+
+def test_minors_with_zero_rows_and_columns():
+    rng = random.Random(26)
+    z = LaurentPolynomial.zero(2)
+    for _ in range(10):
+        m = _random_laurent_matrix(rng, 4, 5, 2, 2, 0.9)
+        m.entries[rng.randrange(4)] = [z] * 5
+        col = rng.randrange(5)
+        for row in m.entries:
+            row[col] = z
+        _assert_minors_match_determinant(m)
+    zero = Matrix([[z] * 3 for _ in range(3)])
+    _assert_minors_match_determinant(zero)
+    assert all(not minor for k in (1, 2, 3) for minor in iter_minors(zero, k))
+
+
+def test_minor_whose_blocks_cancel():
+    # in the 3x3 expansion the block of rows 1, 2 on the last two columns
+    # is (t1 + 1) t2 - t1 t2 = t2, its t1 t2 coefficient cancelling inside
+    # the block, and the block of rows 0, 2 is t1 t2 - t2 t1 = 0
+    t1, t2 = (LaurentPolynomial.variable(i, 2) for i in range(2))
+    one = LaurentPolynomial.one(2)
+    m = Matrix([[t1 ** -1, t1, t2],
+                [one, t1 + 1, t2],
+                [t2 - 1, t1, t2]])
+    _assert_minors_match_determinant(m)
+    assert list(iter_minors(m, 3)) == [(t1 ** -1 - t2 + 1) * t2]
+    block = Matrix([[t1 + 1, t2], [t1, t2]])
+    assert list(iter_minors(block, 2)) == [t2]
+    assert list(iter_minors(Matrix([[t1, t2], [t1, t2]]), 2)) == [LaurentPolynomial.zero(2)]
+
+
 def test_minor_size_out_of_range():
     t1 = LaurentPolynomial.variable(0, 1)
     m = Matrix([[t1]])
