@@ -120,11 +120,22 @@ def parse_arrangement(text: str) -> list:
         if len(tokens) != 3:
             raise ArrangementError(f"line {lineno}: expected three rational tokens")
         try:
-            lines.append(Line.of(*map(_rational, tokens)))
+            line = Line.of(*map(_rational, tokens))
         except ArrangementError as exc:
             raise ArrangementError(f"line {lineno}: {exc}") from None
         except (ValueError, ZeroDivisionError):
             raise ArrangementError(f"line {lineno}: bad rational token") from None
+        # str refuses an int of more than 4,300 digits (Python's default
+        # limit), which a normalized coefficient can reach from tokens
+        # within it; every report prints the lines it read.  A coefficient
+        # of str divides one of the triple, so below 2^14000 it is short.
+        if max(map(abs, line)).bit_length() > 14000:
+            try:
+                str(line)
+            except ValueError:
+                raise ArrangementError(f"line {lineno}: a normalized "
+                                       "coefficient has more than 4300 digits") from None
+        lines.append(line)
     if not lines:
         raise ArrangementError("no lines in arrangement input")
     return lines

@@ -180,29 +180,13 @@ def _load_lines(args) -> list:
     return _guard(EXIT_PARSE, parse_arrangement, _read(args.path))
 
 
-def _line_texts(lines: list) -> list:
-    """The report's text of each line.  str refuses an int of more than
-    4,300 digits (Python's default limit), which a normalized coefficient
-    can reach from tokens within it; that is exit 2, naming the line by its
-    place among the arrangement's lines."""
-    texts = []
-    for n, ln in enumerate(lines, start=1):
-        try:
-            texts.append(str(ln))
-        except ValueError:
-            raise CliFailure(
-                EXIT_PARSE, f"arrangement line {n}: a normalized coefficient "
-                "has more than 4300 digits") from None
-    return texts
-
-
 def cmd_analyze(args) -> int:
     lines = _load_lines(args)
     if args.family:
         provenance = {"kind": "family", "family": args.family, "m": args.m}
     else:
         provenance = {"kind": "arrangement-file", "path": args.path}
-    provenance["lines"] = _line_texts(lines)
+    provenance["lines"] = [str(ln) for ln in lines]
     data = _guard(EXIT_GEOMETRY, intersect_arrangement, lines)
     label = classify_arrangement(data)
     verdict = vanishing_and_infinite_verdicts(label, data)

@@ -65,9 +65,16 @@ class LaurentPolynomial:
     # a product of terms adds ints instead of building tuples.
 
     @staticmethod
-    def _pack_width(bound: int) -> int:
-        """The width W that packs every vector whose entries, and whose
-        sums' entries, are at most bound in absolute value."""
+    def _pack_width(rows) -> int:
+        """The width W that packs exactly every sum of term exponents
+        taken at most one from each row, as is every term of a minor and
+        of each block in its expansion.  rows hold LaurentPolynomials and
+        ints (an int's exponent is 0).  Each entry of such a sum is at
+        most B, the sum over rows of the row's largest |exponent|, and
+        B < 2^(W-1) for W = bit_length(B) + 1."""
+        bound = sum(max((abs(x) for e in row if not isinstance(e, int)
+                         for key in e.terms for x in key), default=0)
+                    for row in rows)
         return bound.bit_length() + 1
 
     def _packed(self, width: int) -> dict:

@@ -1,6 +1,7 @@
-"""Matrices: one matrix type for Z, Z[H], K[t^±1] and F_P[t^±1] with one
-determinant, one Euclidean elimination kernel, the integer Smith normal form
-built on it, and the minor enumerator."""
+"""Matrices: one matrix type for Z, Z[H], K[t^±1] and F_P[t^±1] with its
+generic determinant (the tests' reference), one Euclidean elimination
+kernel, the integer Smith normal form built on it, and the minor
+enumerator, which runs its own cofactor expansion over packed monomials."""
 
 from __future__ import annotations
 
@@ -272,13 +273,11 @@ def iter_minors(M: Matrix, k: int):
 
     Each minor is `Matrix.determinant`'s memoized cofactor expansion, run
     on term dicts whose keys are packed exponent vectors
-    (`LaurentPolynomial._packed`; an int c is the one term {0: c}).  Every
-    exponent of a minor or of a block in its expansion is a sum of one
-    term exponent from each of its rows, so the width packing the sum over
-    M's rows of each row's largest |exponent| keeps every key exact.  A
-    block adds each product c1 * c2 (the cofactor sign folded into c1)
-    into one dict, drops its zero coefficients once, and each minor is
-    unpacked once.
+    (`LaurentPolynomial._packed`; an int c is the one term {0: c}), at
+    the width `LaurentPolynomial._pack_width` chooses from M's rows, so
+    that every key of every block stays exact.  A block adds each product
+    c1 * c2 (the cofactor sign folded into c1) into one dict, drops its
+    zero coefficients once, and each minor is unpacked once.
     """
     if not 0 < k <= min(M.rows, M.cols):
         raise ValueError(f"minor size {k} out of range for {M.rows}x{M.cols} matrix")
@@ -290,10 +289,7 @@ def _packed_minors(M: Matrix, k: int):
 
     num_vars = next((e.num_vars for row in M.entries for e in row
                      if not isinstance(e, int)), None)
-    bound = sum(max((abs(x) for e in row if not isinstance(e, int)
-                     for key in e.terms for x in key), default=0)
-                for row in M.entries)
-    width = LaurentPolynomial._pack_width(bound)
+    width = LaurentPolynomial._pack_width(M.entries)
     packed = [[({0: e} if e else {}) if isinstance(e, int) else e._packed(width)
                for e in row] for row in M.entries]
     for ri in combinations(range(M.rows), k):

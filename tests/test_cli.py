@@ -446,7 +446,8 @@ TWO_PARALLEL_PAIRS = "line: 1 0 0\nline: 1 0 1\nline: 0 1 0\nline: 0 1 1\n"
     (["bounds"], "line: 0 1 0\nline: 1e-999999999 1 0\n", "line 2: bad rational token"),
     # str prints at most 4,300 digits, and 1/10^4300 has 4,301 in its denominator
     (["analyze"], "# three lines\nline: 0 1 0\n\nline: 1e4300 1 0\nline: 1 0 3\n",
-     "arrangement line 2: a normalized coefficient has more than 4300 digits"),
+     "line 4: a normalized coefficient has more than 4300 digits"),
+    (["bounds"], "line: 1 1e4300 0\n", "line 1: a normalized coefficient has more than 4300 digits"),
 ])
 def test_usage_error_exit_2_with_message(tmp_path, capsys, argv, text, message):
     if text is not None:

@@ -1,6 +1,6 @@
 """Print the frontier table: both invariant routes on swept random arrangements.
 
-    python tools/frontier.py [--tree TREE] [--budget SECONDS]
+    python tools/frontier.py [--tree TREE]
 
 For m = 10, 12 and 14 lines (seeds 0-5, 0-9 and 0-2) the script sweeps
 ``random_arrangement(seed, m)`` of ``tests/test_arrangements.py``
@@ -9,7 +9,7 @@ times ``compute_invariants(pres, "degree")`` (the degree route) and
 ``compute_invariants(pres, "both")`` in-process, without the sweep.  Each
 timing runs in its own subprocess, one at a time, with alexarr imported
 from TREE's ``src/`` (default: this checkout); a timing over its
-wall-clock budget (default 60 s) is killed and prints as a timeout.  It
+wall-clock budget (BUDGET, 60 s) is killed and prints as a timeout.  It
 prints one row per draw (relators, the two times, δ0 and whether the
 routes agreed), then one row per size with the range of each time.
 """
@@ -25,12 +25,14 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SEEDS = {10: range(6), 12: range(10), 14: range(3)}
+BUDGET = 60.0
 ROUTES = ("degree", "both")
 
 
 def case(m: str, seed: str, routes: str) -> None:
     """Print, as JSON, one timing of compute_invariants on the swept draw;
-    runs in the subprocess, with TREE's src/ and tests/ on sys.path."""
+    runs in the subprocess, with TREE's src/ and this checkout's tests/
+    and tools/ on sys.path, so every tree times the same draws."""
     from time import perf_counter
 
     from alexarr.alexinv import compute_invariants
@@ -82,11 +84,9 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--tree", type=Path, default=ROOT,
                         help="the alexarr tree whose src/ is timed (default: this checkout)")
-    parser.add_argument("--budget", type=float, default=60.0,
-                        help="wall-clock seconds allowed to each timing (default 60)")
     args = parser.parse_args(argv)
     tree = args.tree.resolve()
-    timeout = f">{args.budget:g} s"
+    timeout = f">{BUDGET:g} s"
     print("| m | seed | relators | degree route | both routes | δ0 | routes agree |")
     print("|---|---|---|---|---|---|---|")
     summary = []
@@ -95,7 +95,7 @@ def main(argv=None) -> int:
         for seed in seeds:
             cells, facts = [], None
             for routes in ROUTES:
-                record = _timed(tree, m, seed, routes, args.budget)
+                record = _timed(tree, m, seed, routes, BUDGET)
                 if record is None:
                     times[routes].append(timeout)
                     cells.append(timeout)
