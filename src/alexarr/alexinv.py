@@ -17,11 +17,16 @@ Fix the last row i with x_i != 1 and let g = gcd_k (x_k - 1).  Then
 
 Each quotient is exact: Z[H] is a UFD, and at every prime the minimum over
 k of the valuations of det A[k^, S] is that of det A[i^, S] * g / (x_i - 1).
-This divides the enumeration by m.  When every x_k = 1 (H trivial) the
-formula says nothing, and all minors of size m - 1 are enumerated.  The
-full enumeration survives only as the oracle in the tests.  The gcd stops
-at the first unit, and `iter_minors` visits the column sets in a spread
-order, so an input with Delta = 1 stops after a few minors.
+This divides the enumeration by m.  The division by the binomial x_i - 1
+is synthetic, fiber by fiber, in O(terms + span); when g = 1 (the usual
+case) it is taken from the minor itself, with no product.  When every
+x_k = 1 (H trivial) the formula says nothing, and all minors of size
+m - 1 are enumerated.  The full enumeration survives only as the oracle
+in the tests.  The gcd stops at the first unit, and `iter_minors` visits
+the column sets in a spread order, so an input with Delta = 1 stops after
+a few minors.  Most of what the quotients share is a power of some
+t_k - 1, which the gcd also takes out synthetically before its
+coprimality certificate.
 
 Route two localizes: every variable is rewritten as u_i * t, with u = 1
 for one distinguished variable (the first, by default), and the module is
@@ -71,12 +76,12 @@ from .ringkit import (
     degree_spread,
     diagonalize_mod_p,
     diagonalize_over_pid,
-    exact_divide,
     grade_substitute,
     iter_minors,
     laurent_gcd,
     specialize,
 )
+from .ringkit.laurent import _binomial_quotient
 from .ringkit.modp import FIELD
 
 
@@ -152,9 +157,11 @@ def alexander_polynomial(source) -> LaurentPolynomial:
         return laurent_gcd(iter_minors(A.matrix, m - 1))
     i = moving[-1]
     g = laurent_gcd(binomials)
+    unscaled = g == one
 
     def scaled(minor: LaurentPolynomial) -> LaurentPolynomial:
-        quotient = exact_divide(minor * g, binomials[i])
+        quotient = _binomial_quotient(minor if unscaled else minor * g,
+                                      A.ab.quotient_map[i])
         if quotient is None:
             raise RuntimeError(
                 f"Fox fundamental formula fails: x_{i + 1} - 1 does not divide "

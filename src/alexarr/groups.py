@@ -217,6 +217,9 @@ def parse_presentation(text: str) -> Presentation:
             for name in tokens:
                 if name in index_of:
                     raise PresentationError(f"line {lineno}: duplicate generator {name!r}")
+                if "^" in name:
+                    # a relator token reads '^' as its exponent mark
+                    raise PresentationError(f"line {lineno}: generator name {name!r} contains '^'")
                 index_of[name] = len(gens)
                 gens.append(name)
             if not gens:
@@ -225,8 +228,11 @@ def parse_presentation(text: str) -> Presentation:
             if not gens:
                 raise PresentationError(f"line {lineno}: rel before gens")
             letters: list = []
-            for token in tokens:
-                letters.extend(_parse_token(token, index_of))
+            try:
+                for token in tokens:
+                    letters.extend(_parse_token(token, index_of))
+            except PresentationError as exc:
+                raise PresentationError(f"line {lineno}: {exc}") from None
             relators.append(Word(letters))
         elif key == "meridians":
             if not gens:

@@ -416,20 +416,56 @@ def exact_divide(p: LaurentPolynomial, d: LaurentPolynomial) -> LaurentPolynomia
     return LaurentPolynomial._trusted(p.num_vars, q)
 
 
+def _binomial_quotient(p: LaurentPolynomial, a: tuple) -> LaurentPolynomial | None:
+    """p / (t^a - 1) for a nonzero exponent vector a, or None when the
+    division is not exact; O(terms + span).
+
+    The terms of p fall into fibers e + Z a, each a polynomial in y = t^a:
+    with j the first index where a_j != 0, the term t^e is c_k y^k t^base
+    for k = floor(e_j / a_j) and base = e - k a.  In each fiber, synthetic
+    division by y - 1 from the top gives q_{k-1} = c_k + q_k, and it is
+    exact iff the running sum cancels the fiber's lowest coefficient.  Every
+    fiber sums to zero then, so a nonzero coefficient sum of p rules the
+    division out."""
+    if sum(p.terms.values()):
+        return None
+    j = next(i for i, x in enumerate(a) if x)
+    fibers: dict = {}
+    for e, c in p.terms.items():
+        k = e[j] // a[j]
+        fibers.setdefault(tuple([x - k * y for x, y in zip(e, a)]), {})[k] = c
+    q = {}
+    for base, fiber in fibers.items():
+        lo = min(fiber)
+        run = 0
+        for k in range(max(fiber), lo, -1):
+            run += fiber.get(k, 0)
+            if run:
+                q[tuple([x + (k - 1) * y for x, y in zip(base, a)])] = run
+        if run + fiber[lo]:
+            return None
+    return LaurentPolynomial._trusted(p.num_vars, q)
+
+
 # ----------------------------------------------------------------------
 # multivariate gcd
 #
-# Recursive content / primitive-part reduction: pick the highest variable
-# x_k appearing in both operands and read each operand, as it is, as a
-# polynomial in x_k over the ring of the other variables.  ``_lead``
-# gives the degree in x_k and the coefficient there; the content is the
-# gcd of the coefficients, peeled off from the top; the primitive part is
-# one exact division by the content.  A subresultant pseudo-remainder
-# sequence (Collins; Brown and Traub) on the primitive parts gives the
-# primitive gcd.  Two shortcuts keep the common cases cheap: monomial
-# operands are handled directly, and a modular specialization certificate
-# detects variables the gcd cannot involve before any pseudo-division
-# happens.
+# Monomial operands and the common monomial factor are handled directly,
+# and two operands in one variable alone go to GCDHEU.  Otherwise each
+# operand gives up, by synthetic division, its power of every binomial
+# x_k - 1 with x_k in both: the degree route's minors are full of them
+# (the Fox formula divides by one), and the gcd takes the smaller power.
+# Then a modular certificate (Zippel 1979), one fixed point per variable,
+# tries to prove the cofactors coprime in every variable they share; on
+# the degree route's inputs it nearly always does, and the gcd is the
+# binomial part times an integer.  The certificate is one-sided: where it
+# fails, a recursive content / primitive-part reduction runs.  It reads
+# each cofactor, as it is, as a polynomial in the highest variable x_k
+# over the ring of the other variables.  ``_lead`` gives the degree in x_k
+# and the coefficient there; the content is the gcd of the coefficients,
+# peeled off from the top; the primitive part is one exact division by the
+# content.  A subresultant pseudo-remainder sequence (Collins; Brown and
+# Traub) on the primitive parts gives the primitive gcd.
 
 
 def _lead(p: LaurentPolynomial, k: int) -> tuple:
@@ -524,8 +560,12 @@ def _gcd_free_of(p: LaurentPolynomial, q: LaurentPolynomial, main: int) -> bool:
     variable included: the constant coefficient may collapse, so a shared
     power of the main variable gives False, and otherwise the Laurent gcd,
     the entry that `diagonalize_mod_p` finds, must be a unit.  A collapsed
-    leading coefficient gives False, which only sends the caller to the
-    subresultant pseudo-remainder sequence."""
+    leading coefficient gives False.  `_poly_gcd` asks it about every
+    variable two cofactors share once their binomials x_k - 1 are out (a
+    common factor x_k - 1 involves no other variable, so it survives every
+    specialization and would give False in k); True in every shared
+    variable proves the cofactors coprime.  False only sends the caller to
+    the content / primitive-part reduction."""
     points = [pow(5, 7 * i + 1, FIELD) % 1000003 + 2 for i in range(p.num_vars)]
     ca = _specialized_coeffs(p, main, points)
     cb = _specialized_coeffs(q, main, points)
@@ -533,6 +573,27 @@ def _gcd_free_of(p: LaurentPolynomial, q: LaurentPolynomial, main: int) -> bool:
         return False
     (gcd,), _ = diagonalize_mod_p(Matrix([[ca, cb]], 1, 2))
     return not gcd.spread()
+
+
+def _highest_variable(p: LaurentPolynomial, q: LaurentPolynomial) -> int:
+    """The highest variable of positive degree in p or q (not both constant)."""
+    return next(k for k in reversed(range(p.num_vars))
+                if p.max_degree_in(k) > 0 or q.max_degree_in(k) > 0)
+
+
+def _shared_variables(p: LaurentPolynomial, q: LaurentPolynomial) -> list:
+    """The variables of positive degree in both p and q, in increasing order."""
+    return [k for k, (dp, dq) in enumerate(zip(map(max, zip(*p.terms)), map(max, zip(*q.terms))))
+            if dp > 0 and dq > 0]
+
+
+def _binomial_power(p: LaurentPolynomial, k: int) -> tuple:
+    """(p / (x_k - 1)^n, n) for the largest n with (x_k - 1)^n dividing p."""
+    a = _var_power(k, 1, p.num_vars)
+    n = 0
+    while (quotient := _binomial_quotient(p, a)) is not None:
+        p, n = quotient, n + 1
+    return p, n
 
 
 def _monomial_gcd_with(p: LaurentPolynomial, q: LaurentPolynomial) -> LaurentPolynomial:
@@ -626,27 +687,38 @@ def _poly_gcd(p: LaurentPolynomial, q: LaurentPolynomial) -> LaurentPolynomial:
         ).shift(common)
 
     # two or more terms each, no common monomial: some degree is positive
-    main = next(k for k in reversed(range(p.num_vars))
-                if p.max_degree_in(k) > 0 or q.max_degree_in(k) > 0)
-    if p.max_degree_in(main) == 0:
-        return _poly_gcd(p, _content(q, main))
-    if q.max_degree_in(main) == 0:
-        return _poly_gcd(_content(p, main), q)
-
+    n = p.num_vars
+    main = _highest_variable(p, q)
     if all(e[main] == sum(e) for e in (*p.terms, *q.terms)):
         g = _heuristic_gcd(p, q, main)
         if g is not None:
             return g
 
-    if _gcd_free_of(p, q, main):
-        return _poly_gcd(_content(p, main), _content(q, main))
+    part = LaurentPolynomial.one(n)
+    for k in _shared_variables(p, q):
+        p, i = _binomial_power(p, k)
+        q, j = _binomial_power(q, k)
+        if min(i, j):
+            part = part * (LaurentPolynomial.variable(k, n) - 1) ** min(i, j)
+    blocked = next((k for k in reversed(_shared_variables(p, q))
+                    if not _gcd_free_of(p, q, k)), None)
+    if blocked is None:
+        return part * _int_gcd(p.integer_content(), q.integer_content())
+
+    main = _highest_variable(p, q)
+    if p.max_degree_in(main) == 0:
+        return part * _poly_gcd(p, _content(q, main))
+    if q.max_degree_in(main) == 0:
+        return part * _poly_gcd(_content(p, main), q)
+    if main != blocked:  # certified above: the gcd is free of main
+        return part * _poly_gcd(_content(p, main), _content(q, main))
 
     cp, a = _primitive(p, main)
     cq, b = _primitive(q, main)
     cont = _poly_gcd(cp, cq)
     if a.max_degree_in(main) < b.max_degree_in(main):
         a, b = b, a
-    return cont * _primitive(_subresultant_prs(a, b, main), main)[1]
+    return part * cont * _primitive(_subresultant_prs(a, b, main), main)[1]
 
 
 def laurent_gcd(ps: Iterable[LaurentPolynomial]) -> LaurentPolynomial:

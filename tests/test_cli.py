@@ -415,9 +415,9 @@ TWO_PARALLEL_PAIRS = "line: 1 0 0\nline: 1 0 1\nline: 0 1 0\nline: 0 1 1\n"
     (["invariants"], "gens: a b\nmeridians: a\nmeridians: b\n", "line 3: repeated meridians line"),
     # a list of 10^20 letters overflows its length, one of 10^15 fails to allocate
     (["invariants"], "gens: a b\nrel: a^99999999999999999999 b\n",
-     "exponent too large to expand in token 'a^99999999999999999999'"),
+     "line 2: exponent too large to expand in token 'a^99999999999999999999'"),
     (["invariants"], "gens: a\nrel: a^1000000000000000\n",
-     "exponent too large to expand in token 'a^1000000000000000'"),
+     "line 2: exponent too large to expand in token 'a^1000000000000000'"),
     # bytes that are not UTF-8; {path} stands for the input file
     (["analyze"], b"line: 1 0 0\n\xff\n", "cannot read {path}: 'utf-8' codec can't decode "
      "byte 0xff in position 12: invalid start byte"),
@@ -438,7 +438,8 @@ TWO_PARALLEL_PAIRS = "line: 1 0 0\nline: 1 0 1\nline: 0 1 0\nline: 0 1 1\n"
     (["selftest", "--filter", "nomatch"], None, "no selftest check matches 'nomatch'"),
     # int reads at most 4,300 digits; the ids keep the long inputs out of the test names
     pytest.param(["invariants"], f"gens: a\nrel: a^{'9' * 5000}\n",
-                 f"malformed exponent in token 'a^{'9' * 5000}'", id="dsl-exponent-5000-digits"),
+                 f"line 2: malformed exponent in token 'a^{'9' * 5000}'",
+                 id="dsl-exponent-5000-digits"),
     pytest.param(["bounds"], f"curve: m={'9' * 5000} r=1 tangents=0\n",
                  f"malformed curve token 'm={'9' * 5000}'", id="curve-value-5000-digits"),
     # Fraction would build 10^999999999 before it returned
@@ -448,6 +449,14 @@ TWO_PARALLEL_PAIRS = "line: 1 0 0\nline: 1 0 1\nline: 0 1 0\nline: 0 1 1\n"
     (["analyze"], "# three lines\nline: 0 1 0\n\nline: 1e4300 1 0\nline: 1 0 3\n",
      "line 4: a normalized coefficient has more than 4300 digits"),
     (["bounds"], "line: 1 1e4300 0\n", "line 1: a normalized coefficient has more than 4300 digits"),
+    # a bad relator token names its line, as every other DSL error does
+    pytest.param(["invariants"], "gens: a b\nrel: a c\n",
+                 "line 2: unknown generator name 'c'", id="dsl-unknown-generator"),
+    pytest.param(["invariants"], "gens: a\n# x\nrel: a a^x\n",
+                 "line 3: malformed exponent in token 'a^x'", id="dsl-malformed-exponent"),
+    # no relator token could name x^2: it reads as x squared
+    pytest.param(["invariants"], "gens: x^2 b\nrel: b x^2 b^-1\n",
+                 "line 1: generator name 'x^2' contains '^'", id="dsl-caret-in-generator-name"),
 ])
 def test_usage_error_exit_2_with_message(tmp_path, capsys, argv, text, message):
     if text is not None:

@@ -197,6 +197,37 @@ def test_serializer_matches_per_word_format(p):
     assert parse_presentation(text) == p
 
 
+@pytest.mark.parametrize("text, message", [
+    ("gens: a b\nrel: a c\n", "line 2: unknown generator name 'c'"),
+    ("gens: a\nrel: a\n\nrel: a^1_0\n", "line 4: malformed exponent in token 'a^1_0'"),
+    ("gens: a\nrel: a^-99999999999999999999\n",
+     "line 2: exponent too large to expand in token 'a^-99999999999999999999'"),
+    ("gens: x^2 b\nrel: b x^2 b^-1\n", "line 1: generator name 'x^2' contains '^'"),
+    ("# a ^ in any place\ngens: a ^b\n", "line 2: generator name '^b' contains '^'"),
+])
+def test_parse_errors_name_their_line(text, message):
+    with pytest.raises(PresentationError) as exc:
+        parse_presentation(text)
+    assert str(exc.value) == message
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.text("ab1_:'^-", min_size=1, max_size=3), min_size=1, max_size=4,
+                unique=True),
+       st.lists(st.lists(st.sampled_from([1, -1, 2, -2, 3, -3, 4, -4]), max_size=6),
+                max_size=3))
+def test_every_generator_name_the_dsl_accepts_round_trips(gens, rels):
+    # a name with '^' would serialize as a power of a shorter name
+    m = len(gens)
+    p = presentation(gens, [Word([x for x in r if abs(x) <= m]) for r in rels])
+    text = serialize_presentation(p)
+    if any("^" in g for g in gens):
+        with pytest.raises(PresentationError, match="^line 1: generator name .* contains '\\^'$"):
+            parse_presentation(text)
+    else:
+        assert parse_presentation(text) == p
+
+
 @pytest.mark.parametrize("m", [1, 2, 5])
 def test_generator_index_check_at_its_boundary(m):
     gens = [f"g{i}" for i in range(m)]
