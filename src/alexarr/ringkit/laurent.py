@@ -426,22 +426,31 @@ def _binomial_quotient(p: LaurentPolynomial, a: tuple) -> LaurentPolynomial | No
     division by y - 1 from the top gives q_{k-1} = c_k + q_k, and it is
     exact iff the running sum cancels the fiber's lowest coefficient.  Every
     fiber sums to zero then, so a nonzero coefficient sum of p rules the
-    division out."""
+    division out.  Only the coordinates where a is nonzero are rewritten:
+    one, for the unit vectors the gcd passes and, on swept arrangements,
+    the Fox formula too."""
     if sum(p.terms.values()):
         return None
-    j = next(i for i, x in enumerate(a) if x)
+    moving = [(i, x) for i, x in enumerate(a) if x]
+    j, aj = moving[0]
     fibers: dict = {}
     for e, c in p.terms.items():
-        k = e[j] // a[j]
-        fibers.setdefault(tuple([x - k * y for x, y in zip(e, a)]), {})[k] = c
+        k = e[j] // aj
+        base = list(e)
+        for i, x in moving:
+            base[i] -= k * x
+        fibers.setdefault(tuple(base), {})[k] = c
     q = {}
     for base, fiber in fibers.items():
         lo = min(fiber)
         run = 0
+        key = list(base)
         for k in range(max(fiber), lo, -1):
             run += fiber.get(k, 0)
             if run:
-                q[tuple([x + (k - 1) * y for x, y in zip(base, a)])] = run
+                for i, x in moving:
+                    key[i] = base[i] + (k - 1) * x
+                q[tuple(key)] = run
         if run + fiber[lo]:
             return None
     return LaurentPolynomial._trusted(p.num_vars, q)

@@ -31,7 +31,7 @@ from alexarr.arrangements import (
 )
 from alexarr.foxcalc import alexander_matrix
 from alexarr.groups import Word, parse_presentation, presentation
-from alexarr.ringkit import LaurentPolynomial, degree_spread, laurent_gcd, unit_normalize
+from alexarr.ringkit import LaurentPolynomial, degree_spread, laurent, laurent_gcd, unit_normalize
 from alexarr.selftest import (
     HOPF_DSL,
     TREFOIL_DSL,
@@ -39,6 +39,7 @@ from alexarr.selftest import (
     product_minus_one_power,
     single_var_minus_one_power,
 )
+from test_arrangements import random_arrangement
 
 
 def hopf_matrix():
@@ -350,6 +351,24 @@ def test_degree_route_stops_after_few_minors(monkeypatch):
     delta = alexander_polynomial(family_presentation("generic", 7))
     assert delta == LaurentPolynomial.one(7)
     assert 0 < len(consumed) <= 50
+
+
+def test_swept_twelve_line_arrangements_need_no_content_or_prs(monkeypatch):
+    # the frontier's 12-line draws (tools/frontier.py): every gcd of the
+    # degree route ends at the binomial part and the coprimality
+    # certificate; before the gcd took the binomials out, every draw made
+    # such calls (seed 2: 1,822 contents and 582 subresultant sequences)
+    fallback = []
+    for name in ("_content", "_subresultant_prs"):
+        original = getattr(laurent, name)
+        monkeypatch.setattr(laurent, name,
+                            lambda *args, f=original, n=name: fallback.append(n) or f(*args))
+    for seed in range(10):
+        pres = wiring_presentation([Line.of(*abc) for abc in random_arrangement(seed, 12)])[0]
+        report = compute_invariants(pres, "both")
+        assert report.alexander_poly == LaurentPolynomial.one(report.s)
+        assert report.route_agreement and report.delta0 == Delta0.of(0)
+        assert fallback == [], seed
 
 
 def transversal_lines(rng, m):

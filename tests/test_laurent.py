@@ -3,7 +3,7 @@
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from alexarr.ringkit import (
     LaurentPolynomial,
@@ -14,6 +14,7 @@ from alexarr.ringkit import (
 )
 from alexarr.ringkit import laurent
 from alexarr.ringkit.laurent import (
+    _binomial_quotient,
     _gcd_free_of,
     _heuristic_gcd,
     _poly_gcd,
@@ -219,6 +220,51 @@ def test_exact_divide_with_monomial_factors_of_different_sizes():
     assert exact_divide(LaurentPolynomial.monomial(1, (-3, 2)) * (t1 + t2), d) is None
 
 
+@st.composite
+def binomial_divisions(draw):
+    """(p, a): p with 1-4 variables and exponents of either sign, and a
+    nonzero exponent vector a, often with mixed signs and no unit vector."""
+    n = draw(st.integers(1, 4))
+    exponent = st.integers(-3, 3)
+    a = draw(st.tuples(*[exponent] * n).filter(any))
+    p = LaurentPolynomial(n, draw(st.dictionaries(
+        st.tuples(*[exponent] * n), st.integers(-5, 5), max_size=6)))
+    return p, a
+
+
+def _binomial(a):
+    return LaurentPolynomial.monomial(1, a) - 1
+
+
+@settings(max_examples=300, deadline=None)
+@given(binomial_divisions())
+@example((LaurentPolynomial(2, {(-1, 2): 3, (0, 0): -1, (4, -1): 2}), (2, -3)))
+@example((LaurentPolynomial(3, {(0, 0, 0): 1}), (0, -2, 1)))
+def test_binomial_quotient_of_a_multiple(case):
+    p, a = case
+    multiple = p * _binomial(a)
+    assert _binomial_quotient(multiple, a) == p == exact_divide(multiple, _binomial(a))
+
+
+@settings(max_examples=300, deadline=None)
+@given(binomial_divisions(), st.tuples(*[st.integers(-4, 4)] * 4), st.sampled_from([1, -1, 7]),
+       st.dictionaries(st.tuples(*[st.integers(-3, 3)] * 4), st.integers(-3, 3), max_size=5))
+@example((LaurentPolynomial(2, {(1, 1): 1}), (1, -1)), (0, 2, 0, 0), 1, {(1, 1, 0, 0): 1})
+def test_binomial_quotient_fails_exactly_when_exact_divide_does(case, stray, c, other):
+    # a multiple plus a stray term, and a drawn polynomial that is rarely
+    # a multiple: the kernel and the heap division agree on each
+    p, a = case
+    n = p.num_vars
+    d = _binomial(a)
+    for r in (p * d + LaurentPolynomial.monomial(c, stray[:n]),
+              LaurentPolynomial(n, {e[:n]: x for e, x in other.items()}),
+              p * d + LaurentPolynomial(n, {e[:n]: x for e, x in other.items()})):
+        ours = _binomial_quotient(r, a)
+        assert ours == exact_divide(r, d)
+        if ours is not None:
+            assert ours * d == r
+
+
 # ----------------------------------------------------------------------
 # gcd
 
@@ -373,6 +419,50 @@ def test_gcd_against_sympy_cross_check(monkeypatch):
         done += 1
     assert max(gaps) > 1
     assert any(not c.is_constant() for c in contents)
+
+
+def test_gcd_with_shared_binomial_powers_against_sympy(monkeypatch):
+    # operands in 2-5 variables sharing (t_k - 1)^j, j = 0-3, for several k,
+    # with and without a shared factor that is no binomial: the binomial
+    # part comes out in some draws, the certificate answers the ones
+    # without a shared factor, and contents and the PRS the others
+    import sympy
+
+    rng = random.Random(27)
+    stripped, calls = [], []
+    binomial_power = laurent._binomial_power
+
+    def spy_binomial_power(p, k):
+        p, n = binomial_power(p, k)
+        stripped.append(n)
+        return p, n
+
+    monkeypatch.setattr(laurent, "_binomial_power", spy_binomial_power)
+    for name in ("_content", "_subresultant_prs", "_heuristic_gcd"):
+        original = getattr(laurent, name)
+        monkeypatch.setattr(laurent, name,
+                            lambda *args, f=original, n=name: calls.append(n) or f(*args))
+    routes = []
+    while len(routes) < 40:
+        n = rng.randint(2, 5)
+        t = [LaurentPolynomial.variable(k, n) for k in range(n)]
+        p = q = LaurentPolynomial.one(n)
+        for k in rng.sample(range(n), rng.randint(1, n)):
+            p = p * (t[k] - 1) ** rng.randint(0, 3)
+            q = q * (t[k] - 1) ** rng.randint(0, 3)
+        if len(routes) % 2:
+            shared = t[0] * t[1] + rng.choice([2, -3]) * t[n - 1] + rng.randint(1, 4)
+            p, q = p * shared, q * shared
+        a, b = (random_poly(rng, n, max_terms=3, exp_range=(0, 2)) for _ in range(2))
+        if a.is_zero() or b.is_zero():
+            continue
+        polys = [p * a, q * b * rng.choice([1, 2, 6])]
+        calls.clear()
+        assert laurent_gcd(polys) == _sympy_gcd(sympy, polys)
+        routes.append(frozenset(calls))
+    assert routes.count(frozenset()) >= 10  # binomial part and certificate alone
+    assert sum("_subresultant_prs" in r for r in routes) >= 10
+    assert sum(1 for x in stripped if x >= 2) >= 10
 
 
 def _univariate(rng, degree, bits, num_vars=1, k=0):

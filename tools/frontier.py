@@ -9,9 +9,12 @@ times ``compute_invariants(pres, "degree")`` (the degree route) and
 ``compute_invariants(pres, "both")`` in-process, without the sweep.  Each
 timing runs in its own subprocess, one at a time, with alexarr imported
 from TREE's ``src/`` (default: this checkout); a timing over its
-wall-clock budget (BUDGET, 60 s) is killed and prints as a timeout.  It
-prints one row per draw (relators, the two times, δ0 and whether the
-routes agreed), then one row per size with the range of each time.
+wall-clock budget (BUDGET, 60 s) is killed and prints as a timeout.  Each
+timing also counts the subresultant pseudo-remainder sequences the gcd
+ran (``laurent._subresultant_prs`` calls), the gcd's costly fallback.  It
+prints one row per draw (relators, the two times, the two PRS counts, δ0
+and whether the routes agreed), then one row per size with the range of
+each time.
 """
 
 from __future__ import annotations
@@ -37,8 +40,12 @@ def case(m: str, seed: str, routes: str) -> None:
 
     from alexarr.alexinv import compute_invariants
     from alexarr.arrangements import Line, wiring_presentation
+    from alexarr.ringkit import laurent
     from test_arrangements import random_arrangement
 
+    prs_calls = []
+    prs = laurent._subresultant_prs
+    laurent._subresultant_prs = lambda *args: prs_calls.append(1) or prs(*args)
     lines = [Line.of(*abc) for abc in random_arrangement(int(seed), int(m))]
     pres = wiring_presentation(lines)[0]
     start = perf_counter()
@@ -50,6 +57,7 @@ def case(m: str, seed: str, routes: str) -> None:
         "seconds": seconds,
         "delta0": None if delta0 is None else delta0.value if delta0.finite else "infinite",
         "agree": report.route_agreement,
+        "prs_calls": len(prs_calls),
     }, sys.stdout)
 
 
@@ -87,27 +95,29 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     tree = args.tree.resolve()
     timeout = f">{BUDGET:g} s"
-    print("| m | seed | relators | degree route | both routes | δ0 | routes agree |")
-    print("|---|---|---|---|---|---|---|")
+    print("| m | seed | relators | degree route | both routes | PRS calls | δ0 | routes agree |")
+    print("|---|---|---|---|---|---|---|---|")
     summary = []
     for m, seeds in SEEDS.items():
         relators, times = set(), {routes: [] for routes in ROUTES}
         for seed in seeds:
-            cells, facts = [], None
+            cells, prs_calls, facts = [], [], None
             for routes in ROUTES:
                 record = _timed(tree, m, seed, routes, BUDGET)
                 if record is None:
                     times[routes].append(timeout)
                     cells.append(timeout)
+                    prs_calls.append("?")
                     continue
                 times[routes].append(record["seconds"])
                 cells.append(f"{record['seconds']:.2f} s")
+                prs_calls.append(str(record["prs_calls"]))
                 relators.add(record["relators"])
                 facts = record
             shown = ("?", "?", "?") if facts is None else (
                 facts["relators"], facts["delta0"], facts["agree"])
             print(f"| {m} | {seed} | {shown[0]} | {cells[0]} | {cells[1]} | "
-                  f"{shown[1]} | {shown[2]} |", flush=True)
+                  f"{' / '.join(prs_calls)} | {shown[1]} | {shown[2]} |", flush=True)
         span = f"{min(relators)}–{max(relators)}" if relators else "?"
         summary.append(f"| {m} | {seeds[0]}–{seeds[-1]} | {span} | "
                        f"{_span(times['degree'])} | {_span(times['both'])} |")
