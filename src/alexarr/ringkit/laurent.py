@@ -418,17 +418,17 @@ def exact_divide(p: LaurentPolynomial, d: LaurentPolynomial) -> LaurentPolynomia
 
 def _binomial_quotient(p: LaurentPolynomial, a: tuple) -> LaurentPolynomial | None:
     """p / (t^a - 1) for a nonzero exponent vector a, or None when the
-    division is not exact; O(terms + span).
+    division is not exact; O(terms) to decide, O(terms + span) to divide.
 
-    The terms of p fall into fibers e + Z a, each a polynomial in y = t^a:
-    with j the first index where a_j != 0, the term t^e is c_k y^k t^base
-    for k = floor(e_j / a_j) and base = e - k a.  In each fiber, synthetic
-    division by y - 1 from the top gives q_{k-1} = c_k + q_k, and it is
-    exact iff the running sum cancels the fiber's lowest coefficient.  Every
-    fiber sums to zero then, so a nonzero coefficient sum of p rules the
-    division out.  Only the coordinates where a is nonzero are rewritten:
-    one, for the unit vectors the gcd passes and, on swept arrangements,
-    the Fox formula too."""
+    The terms of p fall into fibers e + Z a, each a polynomial f(y) in
+    y = t^a: with j the first index where a_j != 0, the term t^e is
+    c_k y^k t^base for k = floor(e_j / a_j) and base = e - k a.  y - 1
+    divides f iff f(1) = 0, so the division is exact iff every fiber's
+    coefficients sum to zero, and a nonzero sum over all of p rules it out
+    before any fiber is formed.  In an exact fiber, synthetic division from
+    the top gives q_{k-1} = c_k + q_k.  Only the coordinates where a is
+    nonzero are rewritten: one, for the unit vectors the gcd passes and,
+    on swept arrangements, the Fox formula too."""
     if sum(p.terms.values()):
         return None
     moving = [(i, x) for i, x in enumerate(a) if x]
@@ -440,19 +440,18 @@ def _binomial_quotient(p: LaurentPolynomial, a: tuple) -> LaurentPolynomial | No
         for i, x in moving:
             base[i] -= k * x
         fibers.setdefault(tuple(base), {})[k] = c
+    if any(sum(fiber.values()) for fiber in fibers.values()):
+        return None
     q = {}
     for base, fiber in fibers.items():
-        lo = min(fiber)
         run = 0
         key = list(base)
-        for k in range(max(fiber), lo, -1):
+        for k in range(max(fiber), min(fiber), -1):
             run += fiber.get(k, 0)
             if run:
                 for i, x in moving:
                     key[i] = base[i] + (k - 1) * x
                 q[tuple(key)] = run
-        if run + fiber[lo]:
-            return None
     return LaurentPolynomial._trusted(p.num_vars, q)
 
 

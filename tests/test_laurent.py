@@ -250,6 +250,10 @@ def test_binomial_quotient_of_a_multiple(case):
 @given(binomial_divisions(), st.tuples(*[st.integers(-4, 4)] * 4), st.sampled_from([1, -1, 7]),
        st.dictionaries(st.tuples(*[st.integers(-3, 3)] * 4), st.integers(-3, 3), max_size=5))
 @example((LaurentPolynomial(2, {(1, 1): 1}), (1, -1)), (0, 2, 0, 0), 1, {(1, 1, 0, 0): 1})
+# a zero sum over p with nonzero fiber sums; an exact fiber across y^0 (y = t^2)
+@example((LaurentPolynomial(2, {}), (1, 0)), (0, 0, 0, 0), 1,
+         {(1, 1, 0, 0): 1, (0, 0, 0, 0): -2, (3, -3, 0, 0): 1, (-3, 3, 1, 0): 0})
+@example((LaurentPolynomial(1, {}), (2,)), (0, 0, 0, 0), 1, {(3, 0, 0, 0): 1, (-3, 0, 0, 0): -1})
 def test_binomial_quotient_fails_exactly_when_exact_divide_does(case, stray, c, other):
     # a multiple plus a stray term, and a drawn polynomial that is rarely
     # a multiple: the kernel and the heap division agree on each
