@@ -24,8 +24,7 @@ from .groups import (
     Presentation,
     Word,
     presentation,
-    reduced_inverse,
-    reduced_product,
+    reduced_product_with_inverse,
 )
 
 
@@ -569,15 +568,20 @@ def _cross_events(order: Sequence[int], events) -> tuple:
     bottom to top, and ``events`` the sets of input lines through each
     multiple point in sweep order.  Words are freely reduced letter tuples;
     the relators come in event order, and the wire words are those after
-    the last event, by position.  A k-fold point costs O(k) products.  A
-    double point, most events of a sweep, costs three products and two
-    inverses: with w1 the lower word and w2 the upper, the two wires swap,
-    the lower one's word becomes N = w1*w2*w1^-1, and the relator
-    w2*w1*w2^-1*w1^-1 is written as w2*N^-1, the same reduced word.
+    the last event, by position.  Each wire keeps its word's inverse in a
+    list beside its word, and every product goes through
+    ``reduced_product_with_inverse``, which returns a*b and (a*b)^-1 from
+    one scan of the seam, so no inverse is rebuilt.  A k-fold point costs
+    O(k) products.  A double point, most events of a sweep, costs three:
+    with w1 the lower word and w2 the upper, the two wires swap, the lower
+    one's word becomes N = w1*w2*w1^-1, and the relator w2*w1*w2^-1*w1^-1
+    is written as w2*N^-1, the same reduced word.
     """
+    product = reduced_product_with_inverse
     pos_of = {line_idx: pos for pos, line_idx in enumerate(order)}
-    wires = list(order)                           # position -> line index
-    words = [(i + 1,) for i in range(len(order))]  # position -> meridian word
+    wires = list(order)                                # position -> line index
+    words = [(i + 1,) for i in range(len(order))]      # position -> meridian word
+    inverses = [(-i - 1,) for i in range(len(order))]  # position -> its inverse
     relators = []
 
     for incident in events:
@@ -589,10 +593,12 @@ def _cross_events(order: Sequence[int], events) -> tuple:
             if q != p + 1:
                 raise ArrangementError(_NOT_ADJACENT)
             w1, w2 = words[p], words[q]
-            lower = reduced_product(reduced_product(w1, w2), reduced_inverse(w1))
-            relators.append(reduced_product(w2, reduced_inverse(lower)))
-            words[p] = lower
-            words[q] = w1
+            v1, v2 = inverses[p], inverses[q]
+            upper, upper_inv = product(w1, v1, w2, v2)
+            lower, lower_inv = product(upper, upper_inv, v1, w1)
+            relators.append(product(w2, v2, lower_inv, lower)[0])
+            words[p], inverses[p] = lower, lower_inv
+            words[q], inverses[q] = w1, v1
             wires[p], wires[q] = wires[q], wires[p]
             pos_of[i], pos_of[j] = pos_of[j], pos_of[i]
             continue
@@ -606,26 +612,32 @@ def _cross_events(order: Sequence[int], events) -> tuple:
         # equals its rotation T*P_j for j = k-1, ..., 1, and the relator
         # P_k * (T*P_j)^-1 is P_k * P_j^-1 * T^-1
         top = words[p:p + k][::-1]
-        prefixes = [top[0]]
-        for w in top[1:]:
-            prefixes.append(reduced_product(prefixes[-1], w))
-        full = prefixes[-1]
-        tail = ()
+        top_inv = inverses[p:p + k][::-1]
+        prefixes, prefixes_inv = [top[0]], [top_inv[0]]
+        for w, v in zip(top[1:], top_inv[1:]):
+            w, v = product(prefixes[-1], prefixes_inv[-1], w, v)
+            prefixes.append(w)
+            prefixes_inv.append(v)
+        full, full_inv = prefixes[-1], prefixes_inv[-1]
+        tail, tail_inv = top[-1], top_inv[-1]
         for j in range(k - 1, 0, -1):
-            tail = reduced_product(top[j], tail) if tail else top[j]
-            relators.append(reduced_product(
-                reduced_product(full, reduced_inverse(prefixes[j - 1])),
-                reduced_inverse(tail)))
+            if j < k - 1:
+                tail, tail_inv = product(top[j], top_inv[j], tail, tail_inv)
+            w, v = product(full, full_inv, prefixes_inv[j - 1], prefixes[j - 1])
+            relators.append(product(w, v, tail_inv, tail)[0])
         # cross the block: reverse wire order; the wire at position p + t
         # passes the t wires below it, and the product Q_t of their words
         # bottom up conjugates it: Q_t * w * Q_t^-1 = Q_{t+1} * Q_t^-1
-        below = words[p]
-        crossed = [below]
+        below, below_inv = words[p], inverses[p]
+        crossed, crossed_inv = [below], [below_inv]
         for t in range(p + 1, p + k):
-            upto = reduced_product(below, words[t])
-            crossed.append(reduced_product(upto, reduced_inverse(below)))
-            below = upto
+            upto, upto_inv = product(below, below_inv, words[t], inverses[t])
+            w, v = product(upto, upto_inv, below_inv, below)
+            crossed.append(w)
+            crossed_inv.append(v)
+            below, below_inv = upto, upto_inv
         words[p:p + k] = crossed[::-1]
+        inverses[p:p + k] = crossed_inv[::-1]
         wires[p:p + k] = wires[p:p + k][::-1]
         for pos in range(p, p + k):
             pos_of[wires[pos]] = pos

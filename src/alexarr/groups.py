@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from operator import eq, neg
+from operator import eq, indexOf, itemgetter, neg
 from typing import Iterable, Sequence
 
 from .ringkit import Matrix, smith_normal_form_int
@@ -56,6 +56,20 @@ def reduced_product(a: tuple, b: tuple) -> tuple:
             break
         k += 1
     return a[:len(a) - k] + b[k:]
+
+
+def reduced_product_with_inverse(a: tuple, a_inv: tuple, b: tuple, b_inv: tuple) -> tuple:
+    """Letters of the product of two freely reduced letter tuples and of
+    its inverse, given each operand's inverse.
+
+    The letters that cancel where a meets b are the common prefix of a^-1
+    and b; its length k, found in one scan, gives a*b = a[:-k] + b[k:] and
+    (a*b)^-1 = b^-1[:-k] + a^-1[k:]."""
+    try:
+        k = indexOf(map(eq, a_inv, b), False)
+    except ValueError:  # one of a^-1 and b is a prefix of the other
+        k = min(len(a), len(b))
+    return a[:len(a) - k] + b[k:], b_inv[:len(b_inv) - k] + a_inv[k:]
 
 
 def reduced_inverse(a: tuple) -> tuple:
@@ -135,9 +149,17 @@ class Word:
         return f"Word({self.letters!r})"
 
 
+# what ends a DSL name: whitespace splits tokens, '#' starts a comment, and
+# '^' starts an exponent
+_NAME_STOP = re.compile(r"[\s#^]")
+
+
 @dataclass(frozen=True)
 class Presentation:
-    """Generators, freely reduced relators, and meridian flags."""
+    """Generators, freely reduced relators, and meridian flags.
+
+    A generator name is nonempty and holds no character that ends a DSL
+    name, so ``serialize_presentation`` writes text that parses back."""
 
     gens: tuple
     relators: tuple
@@ -148,6 +170,12 @@ class Presentation:
             raise PresentationError("presentation needs at least one generator")
         if len(set(self.gens)) != len(self.gens):
             raise PresentationError("duplicate generator name")
+        for name in self.gens:
+            if not name:
+                raise PresentationError("empty generator name")
+            stop = _NAME_STOP.search(name)
+            if stop:
+                raise PresentationError(f"generator name {name!r} contains {stop.group()!r}")
         if len(self.meridians) != len(self.gens):
             raise PresentationError("meridian flags must match generators")
         # one pass over all letters at C level: letters lie in [-m, m]
@@ -260,9 +288,11 @@ def serialize_presentation(p: Presentation) -> str:
     One token table serves every relator: ``token[x]`` is the name of
     letter x > 0 and the inverse token of x < 0 (negative indices count
     from the end).  A relator without two equal adjacent letters is its
-    letters' tokens joined; one with runs goes through ``Word.format``,
-    which writes a run as one power.  The identity relator is "rel:",
-    which parses back to the empty word."""
+    letters' tokens joined, fetched by one ``itemgetter`` call (a one-letter
+    relator is its token alone: ``itemgetter`` of one index returns the
+    bare string); one with runs goes through ``Word.format``, which writes
+    a run as one power.  The identity relator is "rel:", which parses back
+    to the empty word."""
     gens = p.gens
     token = ["", *gens, *(g + "^-1" for g in reversed(gens))]
     lines = ["gens: " + " ".join(gens)]
@@ -272,8 +302,10 @@ def serialize_presentation(p: Presentation) -> str:
             lines.append("rel:")
         elif any(map(eq, x, x[1:])):
             lines.append("rel: " + r.format(gens))
+        elif len(x) == 1:
+            lines.append("rel: " + token[x[0]])
         else:
-            lines.append("rel: " + " ".join(map(token.__getitem__, x)))
+            lines.append("rel: " + " ".join(itemgetter(*x)(token)))
     if not all(p.meridians):
         names = [g for g, flag in zip(p.gens, p.meridians) if flag]
         lines.append("meridians: " + " ".join(names))

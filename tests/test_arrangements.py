@@ -10,7 +10,7 @@ from math import gcd
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from alexarr import arrangements
+from alexarr import arrangements, groups
 from alexarr.arrangements import (
     ArrangementError,
     Line,
@@ -32,7 +32,7 @@ from alexarr.arrangements import (
     wiring_presentation,
 )
 from alexarr.cli import main
-from alexarr.groups import Word, presentation
+from alexarr.groups import Word, free_reduce, presentation
 
 
 def lines_of(*abc):
@@ -494,13 +494,14 @@ rational_coef = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 4))
 
 
 @st.composite
-def small_arrangements(draw, coef=coef):
-    """2-9 distinct lines with coefficients drawn from ``coef`` (by default
-    integers in -3..3).  Each line is random, vertical, parallel to an
-    earlier line, or through the meeting point of two earlier lines (then c
+def small_arrangements(draw, coef=coef, max_lines=9):
+    """2 to ``max_lines`` distinct lines with coefficients drawn from
+    ``coef`` (by default integers in -3..3).  Each line is random, vertical,
+    parallel to an earlier line, or through the meeting point of two earlier
+    lines (then c
     is rational and may leave the range of ``coef``)."""
     lines = []
-    for _ in range(draw(st.integers(2, 9))):
+    for _ in range(draw(st.integers(2, max_lines))):
         kind = draw(st.sampled_from(["any", "vertical", "parallel", "concurrent"]))
         a, b, c = draw(coef), draw(coef), draw(coef)
         if kind == "vertical":
@@ -801,17 +802,43 @@ def test_sweep_matches_quadratic_oracle():
     assert set(range(2, 11)) <= multiplicities
 
 
-def test_double_point_costs_three_products_and_two_inverses(monkeypatch):
+def test_double_point_costs_three_products_and_no_inverse(monkeypatch):
+    # each wire carries its inverse word, so the sweep rebuilds no inverse
+    # and multiplies only through the kernel that returns both
     calls = Counter()
 
-    def counted(name, fn):
+    def counted(module, name):
+        fn = getattr(module, name)
+
         def wrapper(*args):
             calls[name] += 1
             return fn(*args)
-        return wrapper
+        monkeypatch.setattr(module, name, wrapper)
 
+    counted(arrangements, "reduced_product_with_inverse")
     for name in ("reduced_product", "reduced_inverse"):
-        monkeypatch.setattr(arrangements, name, counted(name, getattr(arrangements, name)))
+        counted(groups, name)
     pres, _ = wiring_presentation(family_arrangement("generic", 8))
     assert pres.num_relators == 28  # one per double point, and no other point
-    assert calls == {"reduced_product": 3 * 28, "reduced_inverse": 2 * 28}
+    assert calls == {"reduced_product_with_inverse": 3 * 28}
+    assert not hasattr(arrangements, "reduced_product")
+    assert not hasattr(arrangements, "reduced_inverse")
+
+
+def assert_wire_words_multiply_to_the_base_fiber_product(lines):
+    # every crossing is a Hurwitz move on the wires' words, which keeps
+    # their bottom-to-top product x_1...x_m
+    _, _, order, events, _ = quadratic_sweep(lines)
+    _, words = _cross_events(order, events)
+    assert free_reduce([x for w in words for x in w]) == tuple(range(1, len(lines) + 1))
+
+
+def test_final_wire_words_multiply_to_the_base_fiber_product():
+    for lines in ORACLE_SWEEPS:
+        assert_wire_words_multiply_to_the_base_fiber_product(lines)
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_arrangements(max_lines=20))
+def test_drawn_final_wire_words_multiply_to_the_base_fiber_product(lines):
+    assert_wire_words_multiply_to_the_base_fiber_product(lines)

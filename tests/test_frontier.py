@@ -22,6 +22,8 @@ def test_a_timing_reports_its_draw_and_one_over_budget_is_a_timeout():
     assert (record["relators"], record["delta0"], record["agree"]) == (42, 0, True)
     assert record["seconds"] > 0
     assert record["prs_calls"] == 0
+    assert record["sweep_seconds"] > 0
+    assert record["relator_letters"] == 544
     # the 14-line draw takes seconds: a tenth of one is over budget
     assert frontier._timed(ROOT, 14, 0, "degree", 0.1) is None
 

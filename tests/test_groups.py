@@ -13,6 +13,7 @@ from alexarr.groups import (
     presentation,
     reduced_inverse,
     reduced_product,
+    reduced_product_with_inverse,
     serialize_presentation,
 )
 
@@ -219,13 +220,27 @@ def test_parse_errors_name_their_line(text, message):
 def test_every_generator_name_the_dsl_accepts_round_trips(gens, rels):
     # a name with '^' would serialize as a power of a shorter name
     m = len(gens)
-    p = presentation(gens, [Word([x for x in r if abs(x) <= m]) for r in rels])
-    text = serialize_presentation(p)
+    relators = [Word([x for x in r if abs(x) <= m]) for r in rels]
     if any("^" in g for g in gens):
-        with pytest.raises(PresentationError, match="^line 1: generator name .* contains '\\^'$"):
-            parse_presentation(text)
+        with pytest.raises(PresentationError, match="^generator name .* contains '\\^'$"):
+            presentation(gens, relators)
     else:
-        assert parse_presentation(text) == p
+        p = presentation(gens, relators)
+        assert parse_presentation(serialize_presentation(p)) == p
+
+
+@pytest.mark.parametrize("gens, message", [
+    (["a b", "c"], "generator name 'a b' contains ' '"),
+    (["a#", "b"], "generator name 'a#' contains '#'"),
+    (["x^2", "b"], "generator name 'x^2' contains '^'"),
+    (["a", ""], "empty generator name"),
+], ids=["space", "hash", "caret", "empty"])
+def test_names_the_dsl_would_read_differently_are_refused(gens, message):
+    # serialized, 'a b' would read back as two generators, 'a#' as 'a'
+    # followed by a comment, and 'x^2' as a power
+    with pytest.raises(PresentationError) as exc:
+        presentation(gens, [])
+    assert str(exc.value) == message
 
 
 @pytest.mark.parametrize("m", [1, 2, 5])
@@ -293,6 +308,16 @@ def test_linking_vector_of_word_products():
     full = Word([4, 3, 2, 1])
     assert sum(ab.word_image(full)) == 4
     assert sum(ab.word_image(Word.identity())) == 0
+
+
+@given(letters.map(free_reduce), letters.map(free_reduce))
+@example((1, 2), (-2, -1, 3))  # a^-1 is a prefix of b
+@example((3, 1, 2), (-2, -1))  # b is a prefix of a^-1
+@example((1, 2), (-2, -1))
+def test_product_with_inverse_matches_product_then_inverse(a, b):
+    ab = reduced_product(a, b)
+    got = reduced_product_with_inverse(a, reduced_inverse(a), b, reduced_inverse(b))
+    assert got == (ab, reduced_inverse(ab))
 
 
 @given(letters.map(free_reduce), letters.map(free_reduce))

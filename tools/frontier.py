@@ -6,15 +6,16 @@ For m = 10, 12 and 14 lines (seeds 0-5, 0-9 and 0-2) the script sweeps
 ``random_arrangement(seed, m)`` of ``tests/test_arrangements.py``
 (coefficients -6..6) into a presentation with ``wiring_presentation`` and
 times ``compute_invariants(pres, "degree")`` (the degree route) and
-``compute_invariants(pres, "both")`` in-process, without the sweep.  Each
-timing runs in its own subprocess, one at a time, with alexarr imported
+``compute_invariants(pres, "both")`` in-process, without the sweep; the
+sweep (the ``wiring_presentation`` call) is timed on its own, and its
+relators' letters are counted.  Each timing runs in its own subprocess, one at a time, with alexarr imported
 from TREE's ``src/`` (default: this checkout); a timing over its
 wall-clock budget (BUDGET, 60 s) is killed and prints as a timeout.  Each
 timing also counts the subresultant pseudo-remainder sequences the gcd
 ran (``laurent._subresultant_prs`` calls), the gcd's costly fallback.  It
-prints one row per draw (relators, the two times, the two PRS counts, δ0
-and whether the routes agreed), then one row per size with the range of
-each time.
+prints one row per draw (relators, relator letters, the sweep's time, the
+two route times, the two PRS counts, δ0 and whether the routes agreed),
+then one row per size with the range of each time.
 """
 
 from __future__ import annotations
@@ -47,13 +48,17 @@ def case(m: str, seed: str, routes: str) -> None:
     prs = laurent._subresultant_prs
     laurent._subresultant_prs = lambda *args: prs_calls.append(1) or prs(*args)
     lines = [Line.of(*abc) for abc in random_arrangement(int(seed), int(m))]
+    start = perf_counter()
     pres = wiring_presentation(lines)[0]
+    sweep_seconds = perf_counter() - start
     start = perf_counter()
     report = compute_invariants(pres, routes)
     seconds = perf_counter() - start
     delta0 = report.delta0
     json.dump({
         "relators": len(pres.relators),
+        "relator_letters": sum(map(len, pres.relators)),
+        "sweep_seconds": sweep_seconds,
         "seconds": seconds,
         "delta0": None if delta0 is None else delta0.value if delta0.finite else "infinite",
         "agree": report.route_agreement,
@@ -95,13 +100,14 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     tree = args.tree.resolve()
     timeout = f">{BUDGET:g} s"
-    print("| m | seed | relators | degree route | both routes | PRS calls | δ0 | routes agree |")
-    print("|---|---|---|---|---|---|---|---|")
+    print("| m | seed | relators | relator letters | sweep | degree route | both routes "
+          "| PRS calls | δ0 | routes agree |")
+    print("|---|---|---|---|---|---|---|---|---|---|")
     summary = []
     for m, seeds in SEEDS.items():
-        relators, times = set(), {routes: [] for routes in ROUTES}
+        relators, sweeps, times = set(), [], {routes: [] for routes in ROUTES}
         for seed in seeds:
-            cells, prs_calls, facts = [], [], None
+            cells, prs_calls, sweep, facts = [], [], [], None
             for routes in ROUTES:
                 record = _timed(tree, m, seed, routes, BUDGET)
                 if record is None:
@@ -112,18 +118,26 @@ def main(argv=None) -> int:
                 times[routes].append(record["seconds"])
                 cells.append(f"{record['seconds']:.2f} s")
                 prs_calls.append(str(record["prs_calls"]))
+                sweep.append(record["sweep_seconds"])
                 relators.add(record["relators"])
                 facts = record
-            shown = ("?", "?", "?") if facts is None else (
-                facts["relators"], facts["delta0"], facts["agree"])
-            print(f"| {m} | {seed} | {shown[0]} | {cells[0]} | {cells[1]} | "
-                  f"{' / '.join(prs_calls)} | {shown[1]} | {shown[2]} |", flush=True)
+            # each timing sweeps the draw once; the faster sweep is shown
+            if facts is None:
+                shown = ("?",) * 5
+            else:
+                sweeps.append(min(sweep))
+                shown = (facts["relators"], facts["relator_letters"],
+                         f"{min(sweep) * 1e3:.1f} ms", facts["delta0"], facts["agree"])
+            print(f"| {m} | {seed} | {shown[0]} | {shown[1]} | {shown[2]} | {cells[0]} | "
+                  f"{cells[1]} | {' / '.join(prs_calls)} | {shown[3]} | {shown[4]} |",
+                  flush=True)
         span = f"{min(relators)}–{max(relators)}" if relators else "?"
-        summary.append(f"| {m} | {seeds[0]}–{seeds[-1]} | {span} | "
+        sweep_span = f"{min(sweeps) * 1e3:.1f}–{max(sweeps) * 1e3:.1f} ms" if sweeps else "?"
+        summary.append(f"| {m} | {seeds[0]}–{seeds[-1]} | {span} | {sweep_span} | "
                        f"{_span(times['degree'])} | {_span(times['both'])} |")
     print()
-    print("| m | seeds | relators | degree route | both routes |")
-    print("|---|---|---|---|---|")
+    print("| m | seeds | relators | sweep | degree route | both routes |")
+    print("|---|---|---|---|---|---|")
     print("\n".join(summary))
     return 0
 
