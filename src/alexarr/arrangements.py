@@ -594,8 +594,8 @@ def _cross_events(order: Sequence[int], events) -> tuple:
                 raise ArrangementError(_NOT_ADJACENT)
             w1, w2 = words[p], words[q]
             v1, v2 = inverses[p], inverses[q]
-            upper, upper_inv = product(w1, v1, w2, v2)
-            lower, lower_inv = product(upper, upper_inv, v1, w1)
+            w12, v12 = product(w1, v1, w2, v2)
+            lower, lower_inv = product(w12, v12, v1, w1)
             relators.append(product(w2, v2, lower_inv, lower)[0])
             words[p], inverses[p] = lower, lower_inv
             words[q], inverses[q] = w1, v1

@@ -63,8 +63,9 @@ def reduced_product_with_inverse(a: tuple, a_inv: tuple, b: tuple, b_inv: tuple)
     its inverse, given each operand's inverse.
 
     The letters that cancel where a meets b are the common prefix of a^-1
-    and b; its length k, found in one scan, gives a*b = a[:-k] + b[k:] and
-    (a*b)^-1 = b^-1[:-k] + a^-1[k:]."""
+    and b; its length k, found in one scan, gives a*b as a without its
+    last k letters followed by b without its first k, and (a*b)^-1 as
+    b^-1 without its last k followed by a^-1 without its first k."""
     try:
         k = indexOf(map(eq, a_inv, b), False)
     except ValueError:  # one of a^-1 and b is a prefix of the other

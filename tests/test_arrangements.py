@@ -498,8 +498,7 @@ def small_arrangements(draw, coef=coef, max_lines=9):
     """2 to ``max_lines`` distinct lines with coefficients drawn from
     ``coef`` (by default integers in -3..3).  Each line is random, vertical,
     parallel to an earlier line, or through the meeting point of two earlier
-    lines (then c
-    is rational and may leave the range of ``coef``)."""
+    lines (then c is rational and may leave the range of ``coef``)."""
     lines = []
     for _ in range(draw(st.integers(2, max_lines))):
         kind = draw(st.sampled_from(["any", "vertical", "parallel", "concurrent"]))

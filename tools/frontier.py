@@ -132,7 +132,10 @@ def main(argv=None) -> int:
                   f"{cells[1]} | {' / '.join(prs_calls)} | {shown[3]} | {shown[4]} |",
                   flush=True)
         span = f"{min(relators)}–{max(relators)}" if relators else "?"
-        sweep_span = f"{min(sweeps) * 1e3:.1f}–{max(sweeps) * 1e3:.1f} ms" if sweeps else "?"
+        sweep_span = "?"
+        if sweeps:
+            lo, hi = (f"{t * 1e3:.1f}" for t in (min(sweeps), max(sweeps)))
+            sweep_span = f"{lo} ms" if lo == hi else f"{lo}–{hi} ms"
         summary.append(f"| {m} | {seeds[0]}–{seeds[-1]} | {span} | {sweep_span} | "
                        f"{_span(times['degree'])} | {_span(times['both'])} |")
     print()
