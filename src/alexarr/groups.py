@@ -9,7 +9,8 @@ DSL (line oriented, whitespace separated tokens, ``#`` comments):
     meridians: a b c
 
 Exponents are written ``a^-1``, ``a^3``.  The optional ``meridians:`` line
-appears at most once; without it every generator is treated as a meridian.
+appears at most once and names each meridian once; without it every
+generator is treated as a meridian.
 """
 
 from __future__ import annotations
@@ -268,10 +269,13 @@ def parse_presentation(text: str) -> Presentation:
                 raise PresentationError(f"line {lineno}: meridians before gens")
             if meridian_names is not None:
                 raise PresentationError(f"line {lineno}: repeated meridians line")
+            meridian_names = set()
             for name in tokens:
                 if name not in index_of:
                     raise PresentationError(f"line {lineno}: unknown meridian {name!r}")
-            meridian_names = tokens
+                if name in meridian_names:
+                    raise PresentationError(f"line {lineno}: duplicate meridian {name!r}")
+                meridian_names.add(name)
         else:
             raise PresentationError(f"line {lineno}: unknown key {key!r}")
     if not gens:

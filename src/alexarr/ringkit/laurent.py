@@ -16,6 +16,7 @@ positive term.
 from __future__ import annotations
 
 from heapq import heapify, heappop, heappush
+from itertools import chain
 from math import gcd as _int_gcd, isqrt
 from operator import add as _add, lt as _lt, sub as _sub
 from typing import Iterable, Mapping
@@ -68,12 +69,10 @@ class LaurentPolynomial:
     def _pack_width(rows) -> int:
         """The width W that packs exactly every sum of term exponents
         taken at most one from each row, as is every term of a minor and
-        of each block in its expansion.  rows hold LaurentPolynomials and
-        ints (an int's exponent is 0).  Each entry of such a sum is at
-        most B, the sum over rows of the row's largest |exponent|, and
-        B < 2^(W-1) for W = bit_length(B) + 1."""
-        bound = sum(max((abs(x) for e in row if not isinstance(e, int)
-                         for key in e.terms for x in key), default=0)
+        of each block in its expansion.  rows hold LaurentPolynomials.
+        Each entry of such a sum is at most B, the sum over rows of the
+        row's largest |exponent|, and B < 2^(W-1) for W = bit_length(B) + 1."""
+        bound = sum(max((abs(x) for e in row for key in e.terms for x in key), default=0)
                     for row in rows)
         return bound.bit_length() + 1
 
@@ -379,8 +378,6 @@ def exact_divide(p: LaurentPolynomial, d: LaurentPolynomial) -> LaurentPolynomia
     p._check_compatible(d)
     if d.is_zero():
         raise ZeroDivisionError("division by the zero polynomial")
-    if p.is_zero():
-        return LaurentPolynomial.zero(p.num_vars)
     # the steps of dividing the polynomial parts of p and d, without
     # building them: graded-lex order does not change under a shift, and
     # an exponent >= 0 in the parts' quotient is one >= lo here
@@ -458,8 +455,9 @@ def _binomial_quotient(p: LaurentPolynomial, a: tuple) -> LaurentPolynomial | No
 # ----------------------------------------------------------------------
 # multivariate gcd
 #
-# Monomial operands and the common monomial factor are handled directly,
-# and two operands in one variable alone go to GCDHEU.  Otherwise each
+# The common monomial factor comes out first (a monomial operand then
+# shares no variable: the gcd is an integer), and two operands in one
+# variable alone go to GCDHEU.  Otherwise each
 # operand gives up, by synthetic division, its power of every binomial
 # x_k - 1 with x_k in both: the degree route's minors are full of them
 # (the Fox formula divides by one), and the gcd takes the smaller power.
@@ -604,14 +602,6 @@ def _binomial_power(p: LaurentPolynomial, k: int) -> tuple:
     return p, n
 
 
-def _monomial_gcd_with(p: LaurentPolynomial, q: LaurentPolynomial) -> LaurentPolynomial:
-    """gcd when p is a single term: common monomial times integer content gcd."""
-    ((e, c),) = p.terms.items()
-    common = tuple(map(min, e, q.min_exponents()))
-    coeff = _int_gcd(abs(c), q.integer_content())
-    return LaurentPolynomial.monomial(coeff, common)
-
-
 def _dense_divides(d: list, p: list) -> bool:
     """Whether d divides p in Z[x]; both dense, lowest degree first, with
     nonzero top coefficients."""
@@ -673,17 +663,14 @@ def _heuristic_gcd(p: LaurentPolynomial, q: LaurentPolynomial, k: int) -> Lauren
 
 
 def _poly_gcd(p: LaurentPolynomial, q: LaurentPolynomial) -> LaurentPolynomial:
-    """gcd of two polynomials with nonnegative exponents, up to sign."""
+    """gcd of two polynomials with nonnegative exponents, up to sign, by
+    the steps above for every shape of operand, monomials included."""
     if p.is_zero():
         return q
     if q.is_zero():
         return p
     if p.terms == q.terms or p.terms == (-q).terms:
         return p
-    if p.is_monomial():
-        return _monomial_gcd_with(p, q)
-    if q.is_monomial():
-        return _monomial_gcd_with(q, p)
 
     # strip the common monomial factor; it multiplies back in at the end
     mp = p.min_exponents()
@@ -693,9 +680,11 @@ def _poly_gcd(p: LaurentPolynomial, q: LaurentPolynomial) -> LaurentPolynomial:
         return _poly_gcd(
             p.shift(tuple(-x for x in common)), q.shift(tuple(-x for x in common))
         ).shift(common)
+    n = p.num_vars
+    if p.is_monomial() or q.is_monomial():  # no variable left to share
+        return LaurentPolynomial.constant(_int_gcd(p.integer_content(), q.integer_content()), n)
 
     # two or more terms each, no common monomial: some degree is positive
-    n = p.num_vars
     main = _highest_variable(p, q)
     if all(e[main] == sum(e) for e in (*p.terms, *q.terms)):
         g = _heuristic_gcd(p, q, main)
@@ -714,11 +703,9 @@ def _poly_gcd(p: LaurentPolynomial, q: LaurentPolynomial) -> LaurentPolynomial:
         return part * _int_gcd(p.integer_content(), q.integer_content())
 
     main = _highest_variable(p, q)
-    if p.max_degree_in(main) == 0:
-        return part * _poly_gcd(p, _content(q, main))
-    if q.max_degree_in(main) == 0:
-        return part * _poly_gcd(_content(p, main), q)
-    if main != blocked:  # certified above: the gcd is free of main
+    if main != blocked:
+        # main is in one operand only (the other is its own content in
+        # main) or certified above, so the gcd is the contents' gcd
         return part * _poly_gcd(_content(p, main), _content(q, main))
 
     cp, a = _primitive(p, main)
@@ -732,13 +719,13 @@ def _poly_gcd(p: LaurentPolynomial, q: LaurentPolynomial) -> LaurentPolynomial:
 def laurent_gcd(ps: Iterable[LaurentPolynomial]) -> LaurentPolynomial:
     """gcd of a family of Laurent polynomials, in unit-normal form.
 
-    The input is consumed lazily and the fold stops as soon as the running
-    gcd becomes a unit, so callers may feed an expensive generator (minor
-    enumeration) and pay only for the prefix that matters.  A running gcd
-    that divides the next term exactly is kept without a `_poly_gcd` call:
-    on some inputs it sticks at a small factor (a binomial) for a hundred
-    large terms, and the exact division costs far less.  The gcd of an
-    all-zero family is zero.
+    One fold over the terms, consumed lazily: it stops as soon as the
+    running gcd becomes a unit, pulling no further term, so callers may
+    feed an expensive generator (minor enumeration) and pay only for the
+    prefix that matters.  A running gcd that divides the next term exactly
+    is kept without a `_poly_gcd` call: on some inputs it sticks at a
+    small factor (a binomial) for a hundred large terms, and the exact
+    division costs far less.  The gcd of an all-zero family is zero.
     """
     it = iter(ps)
     try:
@@ -746,20 +733,19 @@ def laurent_gcd(ps: Iterable[LaurentPolynomial]) -> LaurentPolynomial:
     except StopIteration:
         raise ValueError("gcd of an empty family") from None
     num_vars = first.num_vars
-    g: LaurentPolynomial | None = None if first.is_zero() else _poly_part(first)
-    if g is None or not g.is_unit():
-        for p in it:
-            if p.num_vars != num_vars:
-                raise ValueError("variable-count mismatch in gcd input")
-            if p.is_zero():
-                continue
-            phat = _poly_part(p)
-            if g is None:
-                g = phat
-            elif exact_divide(phat, g) is None:
-                g = _poly_gcd(g, phat)
-            if g.is_unit():
-                break
+    g: LaurentPolynomial | None = None
+    for p in chain((first,), it):
+        if p.num_vars != num_vars:
+            raise ValueError("variable-count mismatch in gcd input")
+        if p.is_zero():
+            continue
+        phat = _poly_part(p)
+        if g is None:
+            g = phat
+        elif exact_divide(phat, g) is None:
+            g = _poly_gcd(g, phat)
+        if g.is_unit():
+            break
     if g is None:
         return LaurentPolynomial.zero(num_vars)
     return unit_normalize(g)

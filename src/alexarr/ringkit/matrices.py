@@ -1,7 +1,8 @@
 """Matrices: one matrix type for Z, Z[H], K[t^±1] and F_P[t^±1] with its
 generic determinant (the tests' reference), one Euclidean elimination
-kernel, the integer Smith normal form built on it, and the minor
-enumerator, which runs its own cofactor expansion over packed monomials."""
+kernel, the integer Smith normal form built on it, and the enumerator
+of a Laurent matrix's minors, which runs its own cofactor expansion over
+packed monomials."""
 
 from __future__ import annotations
 
@@ -257,7 +258,7 @@ def _spread_subsets(n: int, k: int):
 
 def iter_minors(M: Matrix, k: int):
     """A lazy iterator over all k x k minor determinants of M, a matrix of
-    LaurentPolynomials and ints.
+    LaurentPolynomials.
 
     Deterministic order: row subsets lexicographic; for each, the column
     subsets in a fixed spread order (`_spread_subsets`), so that subsets
@@ -267,14 +268,13 @@ def iter_minors(M: Matrix, k: int):
     and so common factors, which keep the running gcd a nonunit for
     thousands of minors.  The gcd of the family does not depend on the
     order.  Values are plain subdeterminants, columns ascending (no
-    cofactor signs): LaurentPolynomials, or ints when M has no polynomial
-    entry.  An out-of-range k raises ValueError at the call, not on the
-    first next.
+    cofactor signs).  An out-of-range k raises ValueError at the call, not
+    on the first next.
 
     Each minor is `Matrix.determinant`'s memoized cofactor expansion, run
     on term dicts whose keys are packed exponent vectors
-    (`LaurentPolynomial._packed`; an int c is the one term {0: c}), at
-    the width `LaurentPolynomial._pack_width` chooses from M's rows, so
+    (`LaurentPolynomial._packed`) at the width
+    `LaurentPolynomial._pack_width` chooses from M's rows, so
     that every key of every block stays exact.  A block adds each product
     c1 * c2 (the cofactor sign folded into c1) into one dict, drops its
     zero coefficients once, and each minor is unpacked once.
@@ -287,18 +287,13 @@ def iter_minors(M: Matrix, k: int):
 def _packed_minors(M: Matrix, k: int):
     from .laurent import LaurentPolynomial  # laurent.py imports this module
 
-    num_vars = next((e.num_vars for row in M.entries for e in row
-                     if not isinstance(e, int)), None)
+    num_vars = M.entries[0][0].num_vars
     width = LaurentPolynomial._pack_width(M.entries)
-    packed = [[({0: e} if e else {}) if isinstance(e, int) else e._packed(width)
-               for e in row] for row in M.entries]
+    packed = [[e._packed(width) for e in row] for row in M.entries]
     for ri in combinations(range(M.rows), k):
         for ci in _spread_subsets(M.cols, k):
             det = _packed_determinant(packed, ri, ci)
-            if num_vars is None:
-                yield det.get(0, 0)
-            else:
-                yield LaurentPolynomial._from_packed(num_vars, width, det)
+            yield LaurentPolynomial._from_packed(num_vars, width, det)
 
 
 def _packed_determinant(packed: list, rows: tuple, cols: tuple) -> dict:

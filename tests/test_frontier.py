@@ -22,6 +22,7 @@ def test_a_timing_reports_its_draw_and_one_over_budget_is_a_timeout():
     assert (record["relators"], record["delta0"], record["agree"]) == (42, 0, True)
     assert record["seconds"] > 0
     assert record["prs_calls"] == 0
+    assert record["gcd_calls"] > 0
     assert record["sweep_seconds"] > 0
     assert record["relator_letters"] == 544
     # the 14-line draw takes seconds: a tenth of one is over budget
@@ -38,7 +39,8 @@ def test_span_shows_the_range_and_the_timeouts():
 def test_a_timing_counts_the_subresultant_sequences(monkeypatch, capsys):
     # with the coprimality certificate refused, the 10-line seed-2 draw's
     # gcd falls back to the PRS, and the record counts those calls; the
-    # first setattr only makes monkeypatch restore what case() replaces
+    # first two setattrs only make monkeypatch restore what case() replaces
+    monkeypatch.setattr(laurent, "_poly_gcd", laurent._poly_gcd)
     monkeypatch.setattr(laurent, "_subresultant_prs", laurent._subresultant_prs)
     monkeypatch.setattr(laurent, "_gcd_free_of", lambda p, q, k: False)
     _frontier().case("10", "2", "degree")

@@ -205,6 +205,7 @@ def test_serializer_matches_per_word_format(p):
      "line 2: exponent too large to expand in token 'a^-99999999999999999999'"),
     ("gens: x^2 b\nrel: b x^2 b^-1\n", "line 1: generator name 'x^2' contains '^'"),
     ("# a ^ in any place\ngens: a ^b\n", "line 2: generator name '^b' contains '^'"),
+    ("gens: a b\nrel: a b\nmeridians: a b a\n", "line 3: duplicate meridian 'a'"),
 ])
 def test_parse_errors_name_their_line(text, message):
     with pytest.raises(PresentationError) as exc:

@@ -3,7 +3,7 @@
 import random
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from alexarr.ringkit import (
     LaurentPolynomial,
@@ -467,6 +467,51 @@ def test_gcd_with_shared_binomial_powers_against_sympy(monkeypatch):
     assert routes.count(frozenset()) >= 10  # binomial part and certificate alone
     assert sum("_subresultant_prs" in r for r in routes) >= 10
     assert sum(1 for x in stripped if x >= 2) >= 10
+
+
+_nonzero = st.integers(-12, 12).filter(bool)
+
+
+def _draw_poly(data, n, min_terms, free_of=None):
+    """A polynomial in n variables with nonnegative exponents, at least
+    min_terms terms and none of variable free_of."""
+    exps = st.tuples(*[st.integers(0, 3)] * n)
+    if free_of is not None:
+        exps = exps.map(lambda e: e[:free_of] + (0,) + e[free_of + 1 :])
+    return LaurentPolynomial(n, data.draw(st.dictionaries(
+        exps, _nonzero, min_size=min_terms, max_size=4)))
+
+
+@pytest.mark.parametrize("shared_monomial", [False, True])
+@pytest.mark.parametrize("shape", ["monomial", "monomials", "constant", "free of main"])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_poly_gcd_of_special_shapes_against_sympy(shape, shared_monomial, data):
+    # shapes the gcd takes with no case of its own: a monomial operand
+    # meets the integer gcd once the common monomial is out, and an
+    # operand free of the other's highest variable is its own content
+    # there (the shared factor g, free of it too, keeps the certificate
+    # from ending the gcd first)
+    import sympy
+
+    n = data.draw(st.integers(2 if shape == "free of main" else 1, 4))
+    exps = st.tuples(*[st.integers(0, 3)] * n)
+    if shape == "free of main":
+        g = _draw_poly(data, n, 1, free_of=n - 1)
+        a = _draw_poly(data, n, 2)
+        assume(a.max_degree_in(n - 1) > 0)
+        p, q = g * a, g * _draw_poly(data, n, 2, free_of=n - 1)
+    else:
+        def monomial():
+            return LaurentPolynomial.monomial(data.draw(_nonzero), data.draw(exps))
+        p = LaurentPolynomial.constant(data.draw(_nonzero), n) if shape == "constant" else monomial()
+        q = monomial() if shape == "monomials" else _draw_poly(data, n, 2)
+    if shared_monomial:
+        common = data.draw(exps.filter(any))
+        p, q = p.shift(common), q.shift(common)
+    if data.draw(st.booleans()):
+        p, q = q, p
+    assert unit_normalize(_poly_gcd(p, q)) == _sympy_gcd(sympy, [p, q])
 
 
 def _univariate(rng, degree, bits, num_vars=1, k=0):

@@ -261,7 +261,8 @@ def test_spread_order_separates_consecutive_subsets():
 def test_minor_rows_lexicographic_columns_spread():
     rng = random.Random(7)
     rows, cols, k = 4, 6, 2
-    m = Matrix([[rng.randint(-9, 9) for _ in range(cols)] for _ in range(rows)])
+    m = Matrix([[LaurentPolynomial.constant(rng.randint(-9, 9), 2) for _ in range(cols)]
+                for _ in range(rows)])
     first = list(iter_minors(m, k))
     assert first == list(iter_minors(m, k))
     expected = [

@@ -11,11 +11,12 @@ sweep (the ``wiring_presentation`` call) is timed on its own, and its
 relators' letters are counted.  Each timing runs in its own subprocess, one at a time, with alexarr imported
 from TREE's ``src/`` (default: this checkout); a timing over its
 wall-clock budget (BUDGET, 60 s) is killed and prints as a timeout.  Each
-timing also counts the subresultant pseudo-remainder sequences the gcd
-ran (``laurent._subresultant_prs`` calls), the gcd's costly fallback.  It
-prints one row per draw (relators, relator letters, the sweep's time, the
-two route times, the two PRS counts, δ0 and whether the routes agreed),
-then one row per size with the range of each time.
+timing also counts the gcd calls (``laurent._poly_gcd``, recursive calls
+included) and the subresultant pseudo-remainder sequences the gcd ran
+(``laurent._subresultant_prs`` calls), its costly fallback.  It prints one
+row per draw (relators, relator letters, the sweep's time, the two route
+times, the two gcd counts, the two PRS counts, δ0 and whether the routes
+agreed), then one row per size with the range of each time.
 """
 
 from __future__ import annotations
@@ -44,8 +45,9 @@ def case(m: str, seed: str, routes: str) -> None:
     from alexarr.ringkit import laurent
     from test_arrangements import random_arrangement
 
-    prs_calls = []
-    prs = laurent._subresultant_prs
+    gcd_calls, prs_calls = [], []
+    poly_gcd, prs = laurent._poly_gcd, laurent._subresultant_prs
+    laurent._poly_gcd = lambda *args: gcd_calls.append(1) or poly_gcd(*args)
     laurent._subresultant_prs = lambda *args: prs_calls.append(1) or prs(*args)
     lines = [Line.of(*abc) for abc in random_arrangement(int(seed), int(m))]
     start = perf_counter()
@@ -62,6 +64,7 @@ def case(m: str, seed: str, routes: str) -> None:
         "seconds": seconds,
         "delta0": None if delta0 is None else delta0.value if delta0.finite else "infinite",
         "agree": report.route_agreement,
+        "gcd_calls": len(gcd_calls),
         "prs_calls": len(prs_calls),
     }, sys.stdout)
 
@@ -101,22 +104,24 @@ def main(argv=None) -> int:
     tree = args.tree.resolve()
     timeout = f">{BUDGET:g} s"
     print("| m | seed | relators | relator letters | sweep | degree route | both routes "
-          "| PRS calls | δ0 | routes agree |")
-    print("|---|---|---|---|---|---|---|---|---|---|")
+          "| gcd calls | PRS calls | δ0 | routes agree |")
+    print("|---|---|---|---|---|---|---|---|---|---|---|")
     summary = []
     for m, seeds in SEEDS.items():
         relators, sweeps, times = set(), [], {routes: [] for routes in ROUTES}
         for seed in seeds:
-            cells, prs_calls, sweep, facts = [], [], [], None
+            cells, gcd_calls, prs_calls, sweep, facts = [], [], [], [], None
             for routes in ROUTES:
                 record = _timed(tree, m, seed, routes, BUDGET)
                 if record is None:
                     times[routes].append(timeout)
                     cells.append(timeout)
+                    gcd_calls.append("?")
                     prs_calls.append("?")
                     continue
                 times[routes].append(record["seconds"])
                 cells.append(f"{record['seconds']:.2f} s")
+                gcd_calls.append(str(record["gcd_calls"]))
                 prs_calls.append(str(record["prs_calls"]))
                 sweep.append(record["sweep_seconds"])
                 relators.add(record["relators"])
@@ -129,7 +134,8 @@ def main(argv=None) -> int:
                 shown = (facts["relators"], facts["relator_letters"],
                          f"{min(sweep) * 1e3:.1f} ms", facts["delta0"], facts["agree"])
             print(f"| {m} | {seed} | {shown[0]} | {shown[1]} | {shown[2]} | {cells[0]} | "
-                  f"{cells[1]} | {' / '.join(prs_calls)} | {shown[3]} | {shown[4]} |",
+                  f"{cells[1]} | {' / '.join(gcd_calls)} | {' / '.join(prs_calls)} | "
+                  f"{shown[3]} | {shown[4]} |",
                   flush=True)
         span = f"{min(relators)}–{max(relators)}" if relators else "?"
         sweep_span = "?"
