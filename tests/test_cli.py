@@ -413,7 +413,6 @@ TWO_PARALLEL_PAIRS = "line: 1 0 0\nline: 1 0 1\nline: 0 1 0\nline: 0 1 1\n"
     (["bounds"], "line: 1 0 0\ncurve: m=4 r=3 tangents=1\n",
      "line 1: unexpected row in a curve file"),
     (["invariants"], "gens: a b\nmeridians: a\nmeridians: b\n", "line 3: repeated meridians line"),
-    (["invariants"], "gens: a b\nmeridians: a a\n", "line 2: duplicate meridian 'a'"),
     # a list of 10^20 letters overflows its length, one of 10^15 fails to allocate
     (["invariants"], "gens: a b\nrel: a^99999999999999999999 b\n",
      "line 2: exponent too large to expand in token 'a^99999999999999999999'"),
@@ -458,6 +457,8 @@ TWO_PARALLEL_PAIRS = "line: 1 0 0\nline: 1 0 1\nline: 0 1 0\nline: 0 1 1\n"
     # no relator token could name x^2: it reads as x squared
     pytest.param(["invariants"], "gens: x^2 b\nrel: b x^2 b^-1\n",
                  "line 1: generator name 'x^2' contains '^'", id="dsl-caret-in-generator-name"),
+    pytest.param(["invariants"], "gens: a b\nmeridians: a a\n",
+                 "line 2: duplicate meridian 'a'", id="dsl-duplicate-meridian"),
 ])
 def test_usage_error_exit_2_with_message(tmp_path, capsys, argv, text, message):
     if text is not None:
