@@ -256,19 +256,23 @@ _CURVE_KEYS = ("m", "r", "tangents")
 
 def _parse_curve_line(text: str) -> dict | None:
     """The fields of the ``curve:`` row, or None when there is none.  A curve
-    file holds that row alone besides comments and blank lines.  Each key of
-    ``_CURVE_KEYS`` must appear once, with a nonnegative integer value of
-    at most 4,300 ASCII digits, and no other key may appear."""
-    rows = [(lineno, stripped) for lineno, raw in enumerate(text.splitlines(), start=1)
-            if (stripped := raw.split("#", 1)[0].strip())]
-    if not any(row.startswith("curve:") for _, row in rows):
+    file holds that row alone besides comments and blank lines.  As in the
+    other formats, a row's key is the text before its first colon, stripped.
+    Each key of ``_CURVE_KEYS`` must appear once, with a nonnegative integer
+    value of at most 4,300 ASCII digits, and no other key may appear."""
+    # (line number, whether the row is a curve row, the text after its colon)
+    rows = [(lineno, bool(colon) and key.strip() == "curve", rest)
+            for lineno, raw in enumerate(text.splitlines(), start=1)
+            if (stripped := raw.split("#", 1)[0].strip())
+            for key, colon, rest in [stripped.partition(":")]]
+    if not any(is_curve for _, is_curve, _ in rows):
         return None
     if len(rows) > 1:  # name the first row that is not the first curve row
-        lineno, row = rows[1] if rows[0][1].startswith("curve:") else rows[0]
-        what = "repeated curve line" if row.startswith("curve:") else "unexpected row in a curve file"
+        lineno, is_curve, _ = rows[1] if rows[0][1] else rows[0]
+        what = "repeated curve line" if is_curve else "unexpected row in a curve file"
         raise ArrangementError(f"line {lineno}: {what}")
     fields = {}
-    for token in rows[0][1].removeprefix("curve:").split():
+    for token in rows[0][2].split():
         key, eq, value = token.partition("=")
         if not eq:
             raise ArrangementError(f"malformed curve token {token!r}")

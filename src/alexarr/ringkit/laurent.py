@@ -107,8 +107,6 @@ class LaurentPolynomial:
 
     @classmethod
     def constant(cls, c: int, num_vars: int) -> "LaurentPolynomial":
-        if c == 0:
-            return cls.zero(num_vars)
         return cls(num_vars, {(0,) * num_vars: c})
 
     @classmethod
@@ -344,8 +342,6 @@ def unit_normalize(p: LaurentPolynomial) -> LaurentPolynomial:
 
 def _poly_part(p: LaurentPolynomial) -> LaurentPolynomial:
     """Strip the monomial factor only (no sign change): all exponents >= 0."""
-    if p.is_zero():
-        return p
     mins = p.min_exponents()
     if all(x == 0 for x in mins):
         return p

@@ -59,8 +59,6 @@ class ModPoly:
 
     def _plus(self, other: "ModPoly", sign: int) -> "ModPoly":
         a, b = self.coeffs, other.coeffs
-        if not b:
-            return self
         lo = min(self.low, other.low)
         out = [0] * (max(self.low + len(a), other.low + len(b)) - lo)
         out[self.low - lo : self.low - lo + len(a)] = a
@@ -77,8 +75,7 @@ class ModPoly:
 
     def __mul__(self, other: "ModPoly") -> "ModPoly":
         a, b = self.coeffs, other.coeffs
-        if not a or not b:
-            return ModPoly([])
+        # a zero factor leaves no coefficient in either product below
         if len(a) == 1 or len(b) == 1:  # a scaled copy
             x, b = (a[0], b) if len(a) == 1 else (b[0], a)
             return ModPoly([x * y % FIELD for y in b], self.low + other.low)

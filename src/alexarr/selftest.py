@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Iterable
 
 from .alexinv import (
@@ -97,12 +98,26 @@ def _swept(lines: list) -> tuple:
     return pres, sweep.wire_lines
 
 
-def _family_case(family: str, m: int, delta0: Delta0, **kw) -> CorpusCase:
+def _expectation(family: str, m: int) -> dict:
+    """The closed forms for a family's m lines: delta0, plus either the
+    polynomial up to units or the flag that it is a nonzero constant."""
+    if family == "parallel":  # free groups
+        return {"delta0": DELTA0_INFINITE if m > 1 else Delta0.of(0)}
+    if family == "pencil":
+        return {"delta0": Delta0.of(m * (m - 2)),
+                "delta_poly": lambda: product_minus_one_power(m, m - 2)}
+    if family == "near-pencil":  # the transversal is the last family generator
+        return {"delta0": Delta0.of(m - 2),
+                "delta_poly": lambda: single_var_minus_one_power(m, m - 1, m - 2)}
+    # generic position: abelian groups, constant polynomial
+    return {"delta0": Delta0.of(0), "delta_constant": True}
+
+
+def _family_case(family: str, m: int) -> CorpusCase:
     return CorpusCase(
         name=f"family-{family}-{m}",
         present=lambda: (family_presentation(family, m), None),
-        delta0=delta0,
-        **kw,
+        **_expectation(family, m),
     )
 
 
@@ -117,80 +132,30 @@ def _swept_case(name: str, arrangement: Callable[[], list], delta0: Delta0,
     )
 
 
-def _wiring_case(family: str, m: int, delta0: Delta0, **kw) -> CorpusCase:
+def _wiring_case(family: str, m: int) -> CorpusCase:
     return _swept_case(
-        f"wiring-{family}-{m}", lambda: family_arrangement(family, m), delta0, **kw
+        f"wiring-{family}-{m}", lambda: family_arrangement(family, m), **_expectation(family, m)
     )
 
 
 def corpus_cases() -> list:
-    cases = []
-    # parallel lines: free groups
-    cases.append(_family_case("parallel", 1, Delta0.of(0)))
-    for m in (2, 3):
-        cases.append(_family_case("parallel", m, DELTA0_INFINITE))
-        cases.append(_wiring_case("parallel", m, DELTA0_INFINITE))
-    # pencils
-    for m in (3, 4, 5, 6):
-        cases.append(
-            _family_case(
-                "pencil", m, Delta0.of(m * (m - 2)),
-                delta_poly=lambda m=m: product_minus_one_power(m, m - 2),
-            )
-        )
-    for m in (3, 4, 5):
-        cases.append(
-            _wiring_case(
-                "pencil", m, Delta0.of(m * (m - 2)),
-                delta_poly=lambda m=m: product_minus_one_power(m, m - 2),
-            )
-        )
-    # near-pencils (the transversal is the last family generator)
-    for m in (3, 4, 5, 6):
-        cases.append(
-            _family_case(
-                "near-pencil", m, Delta0.of(m - 2),
-                delta_poly=lambda m=m: single_var_minus_one_power(m, m - 1, m - 2),
-            )
-        )
-        cases.append(
-            _wiring_case(
-                "near-pencil", m, Delta0.of(m - 2),
-                delta_poly=lambda m=m: single_var_minus_one_power(m, m - 1, m - 2),
-            )
-        )
-    # generic position: abelian groups, constant polynomial
-    for m in (2, 3, 4, 5):
-        cases.append(_family_case("generic", m, Delta0.of(0), delta_constant=True))
-    for m in (3, 4):
-        cases.append(_wiring_case("generic", m, Delta0.of(0), delta_constant=True))
-    # arrangements outside the closed-form families
-    cases.append(
-        _swept_case(
-            "wiring-nodal-transversal-4",
-            nodal_transversal_arrangement,
-            Delta0.of(0),
-            delta_constant=True,
-        )
-    )
-    cases.append(
-        _swept_case(
-            "wiring-two-parallel-pairs-4",
-            two_parallel_pairs_arrangement,
-            Delta0.of(0),
-            delta_constant=True,
-        )
-    )
-    # user-style presentations
-    cases.append(
-        CorpusCase(
-            "dsl-hopf",
-            lambda: (parse_presentation(HOPF_DSL), None),
-            Delta0.of(0),
-            delta_constant=True,
-        )
-    )
-    cases.append(
+    both = (_family_case, _wiring_case)
+    return [
+        _family_case("parallel", 1),
+        *(make("parallel", m) for m in (2, 3) for make in both),
+        *(_family_case("pencil", m) for m in (3, 4, 5, 6)),
+        *(_wiring_case("pencil", m) for m in (3, 4, 5)),
+        *(make("near-pencil", m) for m in (3, 4, 5, 6) for make in both),
+        *(_family_case("generic", m) for m in (2, 3, 4, 5)),
+        *(_wiring_case("generic", m) for m in (3, 4)),
+        # arrangements outside the closed-form families
+        _swept_case("wiring-nodal-transversal-4", nodal_transversal_arrangement,
+                    Delta0.of(0), delta_constant=True),
+        _swept_case("wiring-two-parallel-pairs-4", two_parallel_pairs_arrangement,
+                    Delta0.of(0), delta_constant=True),
+        # user-style presentations
+        CorpusCase("dsl-hopf", lambda: (parse_presentation(HOPF_DSL), None),
+                   Delta0.of(0), delta_constant=True),
         CorpusCase(
             "dsl-trefoil",
             lambda: (parse_presentation(TREFOIL_DSL), None),
@@ -200,9 +165,8 @@ def corpus_cases() -> list:
                 - LaurentPolynomial.variable(0, 1)
                 + LaurentPolynomial.one(1)
             ),
-        )
-    )
-    return cases
+        ),
+    ]
 
 
 PERMUTATION_CASE_NAMES = (
@@ -213,25 +177,13 @@ PERMUTATION_CASE_NAMES = (
 )
 
 
-@dataclass
-class CheckResult:
-    name: str
-    passed: bool
-    detail: str = ""
-    seconds: float = 0.0
-
-
-def check_case(case: CorpusCase) -> CheckResult:
-    t0 = time.perf_counter()
+def check_case(case: CorpusCase) -> list:
+    pres, wire_order = case.present()
+    report = compute_invariants(pres, routes="both")
     try:
-        pres, wire_order = case.present()
-        report = compute_invariants(pres, routes="both")
-        try:
-            exact = delta0_via_pid_exact(pres)
-        except InconsistentPresentationError:
-            exact = None
-    except Exception as exc:  # a corpus case must never raise
-        return CheckResult(case.name, False, f"exception: {exc}", time.perf_counter() - t0)
+        exact = delta0_via_pid_exact(pres)
+    except InconsistentPresentationError:
+        exact = None
     problems = []
     if report.delta0_pid_route != exact:
         problems.append(
@@ -256,32 +208,24 @@ def check_case(case: CorpusCase) -> CheckResult:
         report.alexander_poly.is_constant() and not report.alexander_poly.is_zero()
     ):
         problems.append(f"polynomial {report.alexander_poly} is not a nonzero constant")
-    return CheckResult(case.name, not problems, "; ".join(problems), time.perf_counter() - t0)
+    return problems
 
 
-def check_permutation_invariance(case: CorpusCase) -> CheckResult:
+def check_permutation_invariance(case: CorpusCase) -> list:
     """The localized route must not depend on which variable splits off."""
-    t0 = time.perf_counter()
     pres = case.build()
     from .foxcalc import alexander_matrix
 
     A = alexander_matrix(pres)
-    values = set()
-    for k in range(A.num_vars):
-        values.add(str(delta0_via_pid(A, distinguished=k)))
-    ok = len(values) == 1
-    return CheckResult(
-        f"{case.name}-distinguished-variable",
-        ok,
-        "" if ok else f"values differ across distinguished variables: {sorted(values)}",
-        time.perf_counter() - t0,
-    )
+    values = {str(delta0_via_pid(A, distinguished=k)) for k in range(A.num_vars)}
+    if len(values) == 1:
+        return []
+    return [f"values differ across distinguished variables: {sorted(values)}"]
 
 
-def check_bound_pipeline(name: str, lines: list) -> CheckResult:
+def check_bound_pipeline(lines: list) -> list:
     """Swept arrangements: classification, bounds, closed forms, and the
     computed degree must all be mutually consistent."""
-    t0 = time.perf_counter()
     data = intersect_arrangement(lines)
     label = classify_arrangement(data)
     pres, _ = wiring_presentation(lines)
@@ -307,13 +251,12 @@ def check_bound_pipeline(name: str, lines: list) -> CheckResult:
             problems.append(
                 f"closed form {verdict.value} != computed {report.delta0}"
             )
-    return CheckResult(name, not problems, "; ".join(problems), time.perf_counter() - t0)
+    return problems
 
 
-def check_curve_bound_table() -> CheckResult:
+def check_curve_bound_table() -> list:
     """Bound table over small degrees: the intermediate value, the cap, and
     the equality at r = m - 1."""
-    t0 = time.perf_counter()
     problems = []
     for m in range(2, 7):
         for r in range(1, m + 1):
@@ -341,41 +284,50 @@ def check_curve_bound_table() -> CheckResult:
             else:
                 if rep.bound != m * (m - 2):
                     problems.append(f"(m={m},r={r}): general position bound wrong")
-    return CheckResult("curve-bound-table", not problems, "; ".join(problems),
-                       time.perf_counter() - t0)
+    return problems
 
 
 def run_selftest(name_filter: str | None = None, cases: Iterable[CorpusCase] | None = None,
                  emit: Callable[[str], None] = print) -> tuple:
-    """Run the whole corpus.  Returns (passed, failed); when the filter
-    matches no check, (0, 0) with nothing emitted."""
+    """Run the whole corpus, emitting one line per check, with its seconds,
+    as soon as the check finishes.  A check fails when it returns problems
+    or raises; the exception is then its detail.  Returns (passed, failed);
+    when the filter matches no check, (0, 0) with nothing emitted.
+
+    The filter selects a case's checks by the case's name, a pipeline
+    check by its own name."""
     cases = corpus_cases() if cases is None else list(cases)
-    results = []
+
+    def selected(name: str) -> bool:
+        return not name_filter or name_filter in name
+
+    checks = []
     for case in cases:
-        if name_filter and name_filter not in case.name:
-            continue
-        results.append(check_case(case))
-        if case.name in PERMUTATION_CASE_NAMES:
-            results.append(check_permutation_invariance(case))
+        if selected(case.name):
+            checks.append((case.name, partial(check_case, case)))
+            if case.name in PERMUTATION_CASE_NAMES:
+                checks.append((f"{case.name}-distinguished-variable",
+                               partial(check_permutation_invariance, case)))
     for case in cases:
-        if case.arrangement is None:
-            continue
         name = "pipeline-" + case.name.removeprefix("wiring-")
-        if name_filter and name_filter not in name:
-            continue
-        results.append(check_bound_pipeline(name, case.arrangement()))
-    if not name_filter or name_filter in "curve-bound-table":
-        results.append(check_curve_bound_table())
-    if not results:
+        if case.arrangement is not None and selected(name):
+            checks.append((name, lambda arrangement=case.arrangement:
+                           check_bound_pipeline(arrangement())))
+    if selected("curve-bound-table"):
+        checks.append(("curve-bound-table", check_curve_bound_table))
+    if not checks:
         return 0, 0
-    passed = failed = 0
-    for res in results:
-        status = "ok" if res.passed else "FAIL"
-        detail = f"  [{res.detail}]" if res.detail else ""
-        emit(f"{status:4s} {res.name} ({res.seconds:.2f}s){detail}")
-        if res.passed:
-            passed += 1
-        else:
-            failed += 1
+    failed = 0
+    for name, check in checks:
+        t0 = time.perf_counter()
+        try:
+            problems = check()
+        except Exception as exc:  # a check must never stop the run
+            problems = [f"exception: {exc}"]
+        seconds = time.perf_counter() - t0
+        failed += bool(problems)
+        status, detail = ("FAIL", f"  [{'; '.join(problems)}]") if problems else ("ok", "")
+        emit(f"{status:4s} {name} ({seconds:.2f}s){detail}")
+    passed = len(checks) - failed
     emit(f"selftest: {passed} passed, {failed} failed")
     return passed, failed

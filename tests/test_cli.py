@@ -4,6 +4,7 @@ import contextlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -209,6 +210,16 @@ def test_bounds_curve_mode(tmp_path, capsys):
     }
 
 
+def test_bounds_curve_key_is_matched_like_the_other_formats(tmp_path, capsys):
+    # a curve row's key is the text before its first colon, stripped
+    f = tmp_path / "curve.txt"
+    f.write_text("curve : m=4 r=3 tangents=1\n")
+    code, doc = run_json(capsys, "bounds", str(f))
+    assert code == 0
+    assert doc["input"] == {"kind": "curve", "m": 4, "r": 3, "tangents": 1}
+    assert doc["bound"] == 8
+
+
 def test_bounds_curve_inconsistent_flags_exit_3(tmp_path, capsys):
     f = tmp_path / "curve.txt"
     f.write_text("curve: m=4 r=3 tangents=0\n")
@@ -357,6 +368,23 @@ def test_route_disagreement_exit_4(tmp_path, monkeypatch, capsys):
     assert capsys.readouterr().err == "error: the two degree routes disagree\n"
 
 
+def test_closed_form_cross_check_exit_4(tmp_path, monkeypatch, capsys):
+    # the closed forms and the computed degree agree on every input, so
+    # fake a closed form that differs; the report is written all the same
+    from alexarr.arrangements import ClosedForm
+
+    monkeypatch.setattr(cli, "vanishing_and_infinite_verdicts",
+                        lambda label, data: ClosedForm("Pencil", 99, True, "fake"))
+    f = tmp_path / "pencil.txt"
+    f.write_text(PENCIL3)
+    out = tmp_path / "report.json"
+    assert main(["analyze", str(f), "--out", str(out)]) == 4
+    assert capsys.readouterr().err == "error: closed-form value 99 differs from computed degree 3\n"
+    doc = json.loads(out.read_text())
+    assert doc["closed_form"]["value"] == 99
+    assert doc["invariants"]["delta0"] == 3
+
+
 @pytest.mark.parametrize("text", ["gens: a\nrel: a\n", "gens: a b\nrel: a^2\nrel: b\n"])
 def test_skipped_localized_route_exit_4_under_both(tmp_path, capsys, text):
     # a trivial torsion-free abelianization leaves the localized route no
@@ -459,6 +487,8 @@ TWO_PARALLEL_PAIRS = "line: 1 0 0\nline: 1 0 1\nline: 0 1 0\nline: 0 1 1\n"
                  "line 1: generator name 'x^2' contains '^'", id="dsl-caret-in-generator-name"),
     pytest.param(["invariants"], "gens: a b\nmeridians: a a\n",
                  "line 2: duplicate meridian 'a'", id="dsl-duplicate-meridian"),
+    pytest.param(["bounds"], "curve : m=4 r=3 tangents=1\ncurve : m=5 r=3 tangents=1\n",
+                 "line 2: repeated curve line", id="curve-repeated-spaced-key"),
 ])
 def test_usage_error_exit_2_with_message(tmp_path, capsys, argv, text, message):
     if text is not None:
@@ -524,6 +554,26 @@ def test_selftest_corrupted_corpus_entry_fails_by_name():
     assert failed == 1
     assert any("corrupted-entry" in ln and "FAIL" in ln and "expected 7" in ln
                for ln in lines)
+
+
+def test_selftest_check_that_raises_is_a_fail_line_and_the_run_goes_on():
+    # the case's own check passes; its pipeline check raises on the empty
+    # arrangement, which the run reports and passes over
+    case = CorpusCase(
+        "hopf-empty-arrangement",
+        lambda: (parse_presentation("gens: a b\nrel: a b a^-1 b^-1\n"), None),
+        Delta0.of(0),
+        delta_constant=True,
+        arrangement=lambda: [],
+    )
+    lines = []
+    assert run_selftest(cases=[case], emit=lines.append) == (2, 1)
+    assert [re.sub(r"\(\d+\.\d\ds\)", "(s)", ln) for ln in lines] == [
+        "ok   hopf-empty-arrangement (s)",
+        "FAIL pipeline-hopf-empty-arrangement (s)  [exception: empty arrangement]",
+        "ok   curve-bound-table (s)",
+        "selftest: 2 passed, 1 failed",
+    ]
 
 
 _NUMBERS = ["-2", "-1", "0", "1", "2", "3", "3/2", "12345678901234567890"]

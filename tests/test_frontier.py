@@ -38,12 +38,12 @@ def test_span_shows_the_range_and_the_timeouts():
 
 def test_a_timing_counts_the_subresultant_sequences(monkeypatch, capsys):
     # with the coprimality certificate refused, the 10-line seed-2 draw's
-    # gcd falls back to the PRS, and the record counts those calls; the
-    # first two setattrs only make monkeypatch restore what case() replaces
-    monkeypatch.setattr(laurent, "_poly_gcd", laurent._poly_gcd)
-    monkeypatch.setattr(laurent, "_subresultant_prs", laurent._subresultant_prs)
+    # gcd falls back to the PRS, and the record counts those calls; case()
+    # puts back the two functions it wraps to count them
+    poly_gcd, prs = laurent._poly_gcd, laurent._subresultant_prs
     monkeypatch.setattr(laurent, "_gcd_free_of", lambda p, q, k: False)
     _frontier().case("10", "2", "degree")
     record = json.loads(capsys.readouterr().out)
     assert record["prs_calls"] > 0
     assert (record["relators"], record["delta0"]) == (43, 0)
+    assert laurent._poly_gcd is poly_gcd and laurent._subresultant_prs is prs

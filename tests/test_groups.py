@@ -48,6 +48,15 @@ def test_parse_exponents_and_comments():
     assert p.relators[0] == Word([1, 1, 1, -2, -2])
 
 
+def test_parse_zero_power_token():
+    # a^0 stands for the empty word: it drops out of its relator
+    p = parse_presentation("gens: a b\nrel: a^0 b a b^-1\n")
+    assert p.relators == parse_presentation("gens: a b\nrel: b a b^-1\n").relators
+    p = parse_presentation("gens: a\nrel: a^0\n")
+    assert p.relators == (Word([]),)
+    assert serialize_presentation(p) == "gens: a\nrel:\n"
+
+
 def test_parse_meridians_line():
     p = parse_presentation("gens: a b\nmeridians: b\n")
     assert p.meridians == (False, True)

@@ -567,6 +567,25 @@ def test_univariate_gcd_falls_back_to_the_prs(monkeypatch):
     assert len(prs) >= 10
 
 
+def test_heuristic_gcd_gives_up_after_six_points_and_the_prs_answers(monkeypatch):
+    import sympy
+
+    # with every trial division failing, GCDHEU returns None and _poly_gcd
+    # takes the subresultant sequence instead
+    rng = random.Random(14)
+    prs, run_prs = [], laurent._subresultant_prs
+    monkeypatch.setattr(laurent, "_dense_divides", lambda d, p: False)
+    monkeypatch.setattr(laurent, "_subresultant_prs",
+                        lambda *args: prs.append(args) or run_prs(*args))
+    x = LaurentPolynomial.variable(0, 1)
+    for _ in range(4):
+        g = x + rng.randint(1, 9)
+        p, q = (g * _univariate(rng, rng.randint(1, 4), 8) for _ in range(2))
+        assert _heuristic_gcd(p, q, 0) is None
+        assert unit_normalize(_poly_gcd(p, q)) == _sympy_gcd(sympy, [p, q])
+    assert prs
+
+
 def gcd_fold_oracle(ps):
     """The fold of laurent_gcd without its exact-division step: every term
     goes through _poly_gcd."""

@@ -18,7 +18,8 @@ def test_same_reports_names_each_job_that_differs(tmp_path):
     cli.write_text(cli.read_text().replace("SCHEMA_VERSION = 1\n", "SCHEMA_VERSION = 2\n"))
     selftest = tmp_path / "src" / "alexarr" / "selftest.py"
     selftest.write_text(selftest.read_text().replace(
-        'CheckResult("curve-bound-table"', 'CheckResult("curve-bound-tables"'))
+        '("curve-bound-table", check_curve_bound_table)',
+        '("curve-bound-tables", check_curve_bound_table)'))
     proc = subprocess.run(
         [sys.executable, str(ROOT / "tools" / "same_reports.py"), str(ROOT), str(tmp_path),
          "--seeds", "2024"],

@@ -49,13 +49,16 @@ def case(m: str, seed: str, routes: str) -> None:
     poly_gcd, prs = laurent._poly_gcd, laurent._subresultant_prs
     laurent._poly_gcd = lambda *args: gcd_calls.append(1) or poly_gcd(*args)
     laurent._subresultant_prs = lambda *args: prs_calls.append(1) or prs(*args)
-    lines = [Line.of(*abc) for abc in random_arrangement(int(seed), int(m))]
-    start = perf_counter()
-    pres = wiring_presentation(lines)[0]
-    sweep_seconds = perf_counter() - start
-    start = perf_counter()
-    report = compute_invariants(pres, routes)
-    seconds = perf_counter() - start
+    try:
+        lines = [Line.of(*abc) for abc in random_arrangement(int(seed), int(m))]
+        start = perf_counter()
+        pres = wiring_presentation(lines)[0]
+        sweep_seconds = perf_counter() - start
+        start = perf_counter()
+        report = compute_invariants(pres, routes)
+        seconds = perf_counter() - start
+    finally:  # an in-process caller gets the uncounted functions back
+        laurent._poly_gcd, laurent._subresultant_prs = poly_gcd, prs
     delta0 = report.delta0
     json.dump({
         "relators": len(pres.relators),
